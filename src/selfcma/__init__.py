@@ -17,15 +17,13 @@ from .adapt import (
     BOX_HIGH,
     DEFAULT_LAMBDA_H,
     HyperVector,
+    RateSearch,
     SelectionWeights,
-    SelfCmaDriver,
     decode,
     descending_ranks,
     encode,
-    g_loglikelihood,
-    gaussian_logpdf,
     h_objective,
-    init_driver,
+    init_search,
     penalty,
     project_feasible,
 )
@@ -90,11 +88,11 @@ __all__ = [
     "INIT_SIGMA",
     "PROBLEM_NAMES",
     "Problem",
+    "RateSearch",
     "RestartReport",
     "RngStream",
     "RunLog",
     "SelectionWeights",
-    "SelfCmaDriver",
     "StopConfig",
     "StopReason",
     "StrategyParams",
@@ -112,12 +110,10 @@ __all__ = [
     "errors",
     "evals_to_target",
     "expected_norm",
-    "g_loglikelihood",
-    "gaussian_logpdf",
     "generation",
     "h_objective",
     "hist_window",
-    "init_driver",
+    "init_search",
     "initial_state",
     "ipop_run",
     "load_run_logs",

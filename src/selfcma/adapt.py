@@ -6,19 +6,18 @@ recent distribution update under that triple and measuring how well the
 newest population's fitness ranking agrees with its likelihood ranking under
 the replayed distribution: good rates put the best individuals where the
 density is highest. The auxiliary optimizer's mean, decoded and projected
-back into the feasible region, is injected into the primary optimizer after
-every auxiliary step.
+back into the feasible region, gives the primary optimizer's rates; the
+segment loop in `restart` injects them after every auxiliary step.
 """
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import core, linalg
-from .core import CmaState, EvaluatedPopulation, StrategyParams
+from .core import CmaState, EvaluatedPopulation
 from .errors import DimensionMismatch
 from .rng import RngStream
 
@@ -30,8 +29,6 @@ PENALTY_SCALE = 1e9
 AUX_DIM = 3
 AUX_SIGMA0 = 0.2
 DEFAULT_LAMBDA_H = 20
-
-LOG_2PI = math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -121,46 +118,6 @@ class SelectionWeights:
         return cls(mu_sel=mu_sel, weights=np.full(mu_sel, 1.0 / mu_sel))
 
 
-def gaussian_logpdf(x, mean, cov) -> float:
-    """Log density of N(mean, cov) at x, via an eigendecomposition of cov.
-
-    `cov` is the full sampling covariance (step-size already folded in when
-    relevant). Raises NonPositiveDefinite for degenerate covariances.
-    """
-    x = np.asarray(x, dtype=float)
-    mean = np.asarray(mean, dtype=float)
-    if x.shape != mean.shape or x.ndim != 1:
-        raise DimensionMismatch(f"x {x.shape} and mean {mean.shape} disagree")
-    decomp = linalg.sym_eigen(cov)
-    z = decomp.basis.T @ (x - mean)
-    quad = float(np.sum(z * z / decomp.eigenvalues))
-    log_det = float(np.sum(np.log(decomp.eigenvalues)))
-    return -0.5 * (x.shape[0] * LOG_2PI + log_det + quad)
-
-
-def g_loglikelihood(
-    pop: EvaluatedPopulation, mean, cov, sel: SelectionWeights
-) -> float:
-    """Weighted log-likelihood of the mu_sel best candidates under N(mean, cov).
-
-    A diagnostic companion to the rank-based score below: it measures the
-    same "do the winners sit in the high-density region" question on an
-    absolute scale, but is not invariant under monotone fitness transforms
-    of distance, so ranking is what the adaptation itself uses.
-    """
-    if sel.mu_sel > pop.lam:
-        raise DimensionMismatch(
-            f"mu_sel={sel.mu_sel} exceeds population size {pop.lam}"
-        )
-    best = pop.ranked(sel.mu_sel)
-    return float(
-        sum(
-            sel.weights[i] * gaussian_logpdf(best[i], mean, cov)
-            for i in range(sel.mu_sel)
-        )
-    )
-
-
 def descending_ranks(values) -> np.ndarray:
     """rank[i] = 1-based position of values[i] in a stable descending sort.
 
@@ -211,89 +168,51 @@ def h_objective(
 
 
 @dataclass(frozen=True, eq=False)
-class SelfCmaDriver:
-    """The interleaved pair of optimizers plus their private random streams.
+class RateSearch:
+    """The auxiliary optimizer over rate triples and its private random stream."""
 
-    `primary` carries the rates injected after the latest auxiliary step;
-    `prev_primary` is the state one generation earlier, kept so the next
-    score can replay the update between them.
-    """
-
-    primary: CmaState
-    prev_primary: CmaState
     aux: CmaState
     sel: SelectionWeights
-    rng_primary: RngStream
-    rng_aux: RngStream
+    rng: RngStream
+
+    @property
+    def rates(self) -> HyperVector:
+        """The auxiliary mean, decoded and projected: the rates to inject."""
+        return project_feasible(decode(self.aux.mean))
 
 
-def init_driver(
-    objective,
-    params: StrategyParams,
-    mean0,
-    sigma0: float,
-    rng: RngStream,
-    lambda_h: int = DEFAULT_LAMBDA_H,
-    sel: SelectionWeights | None = None,
-) -> SelfCmaDriver:
-    """Set up both optimizers and run the primary's warm-up generation.
+def init_search(
+    lam: int, rng: RngStream, lambda_h: int = DEFAULT_LAMBDA_H
+) -> RateSearch:
+    """Rate search for a primary optimizer with population size `lam`.
 
     The auxiliary optimizer starts from a mean drawn uniformly in the unit
-    box with step-size AUX_SIGMA0; its decoded, projected mean supplies the
-    primary's initial learning rates. One primary generation is executed
-    here so that the first `self_step` already has a previous population to
-    replay. Streams: child 0 of `rng` feeds the primary, child 1 the
-    auxiliary, so neither can shift the other's draws.
+    box from `rng` with step-size AUX_SIGMA0; its rates are the primary's
+    initial ones. The score weighs the best half of the primary population
+    uniformly.
     """
-    rng_primary = rng.child(0)
-    rng_aux = rng.child(1)
     aux_params = core.default_params(AUX_DIM, lambda_h)
-    aux_mean = rng_aux.uniform_vector(0.0, 1.0, AUX_DIM)
+    aux_mean = rng.uniform_vector(0.0, 1.0, AUX_DIM)
     aux = core.initial_state(aux_params, aux_mean, AUX_SIGMA0)
-    rates = project_feasible(decode(aux.mean))
-    primary_params = params.with_cov_rates(rates.c_1, rates.c_mu, rates.c_c)
-    start = core.initial_state(primary_params, mean0, sigma0)
-    warmed = core.generation(objective, start, rng_primary)
-    if sel is None:
-        sel = SelectionWeights.uniform(max(1, params.lam // 2))
-    return SelfCmaDriver(
-        primary=warmed,
-        prev_primary=start,
-        aux=aux,
-        sel=sel,
-        rng_primary=rng_primary,
-        rng_aux=rng_aux,
-    )
+    sel = SelectionWeights.uniform(max(1, lam // 2))
+    return RateSearch(aux=aux, sel=sel, rng=rng)
 
 
-def self_step(driver: SelfCmaDriver, objective) -> SelfCmaDriver:
-    """One coupled step of both optimizers.
+def self_step(
+    search: RateSearch, prev_state: CmaState, state: CmaState, advanced: CmaState
+) -> RateSearch:
+    """One auxiliary generation after the primary went `state` -> `advanced`.
 
-    Advances the primary by a generation, scores lambda_h candidate rate
-    triples against the fresh population by replaying the previous update,
-    advances the auxiliary one generation on minus that score, and injects
-    the auxiliary's new mean (decoded, projected) as the primary's rates for
-    the next generation.
+    Scores lambda_h candidate rate triples by replaying the update
+    `prev_state` -> `state` and ranking `advanced.last_pop` under the
+    result, and advances the auxiliary one generation on minus that score.
+    The primary is not touched; its next rates are the returned `rates`.
     """
-    advanced = core.generation(objective, driver.primary, driver.rng_primary)
-    pop_used = driver.primary.last_pop
+    pop_used = state.last_pop
     pop_new = advanced.last_pop
-    prev_state = driver.prev_primary
 
     def aux_objective(u):
-        return -h_objective(decode(u), prev_state, pop_used, pop_new, driver.sel)
+        return -h_objective(decode(u), prev_state, pop_used, pop_new, search.sel)
 
-    new_aux = core.generation(aux_objective, driver.aux, driver.rng_aux)
-    rates = project_feasible(decode(new_aux.mean))
-    injected = dataclasses.replace(
-        advanced,
-        params=advanced.params.with_cov_rates(rates.c_1, rates.c_mu, rates.c_c),
-    )
-    return SelfCmaDriver(
-        primary=injected,
-        prev_primary=driver.primary,
-        aux=new_aux,
-        sel=driver.sel,
-        rng_primary=driver.rng_primary,
-        rng_aux=driver.rng_aux,
-    )
+    aux = core.generation(aux_objective, search.aux, search.rng)
+    return dataclasses.replace(search, aux=aux)

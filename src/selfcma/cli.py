@@ -15,27 +15,6 @@ from pathlib import Path
 from . import harness, runlog, svgplot
 from .errors import ConfigError, SelfCmaError
 
-# CLI flag name -> ExperimentConfig field for the `run` subcommand
-_RUN_FIELDS = {
-    "problem": "problem",
-    "dim": "dim",
-    "mode": "mode",
-    "out": "out_dir",
-    "lam": "lam",
-    "runs": "runs",
-    "seed": "seed",
-    "budget": "budget",
-    "target": "target",
-    "sigma0": "sigma0",
-    "lambda_h": "lambda_h",
-    "tol_hist_fun": "tol_hist_fun",
-    "tol_x": "tol_x",
-    "max_cond": "max_cond",
-    "stagnation_gens": "stagnation_gens",
-}
-
-_REQUIRED = ("problem", "dim", "mode", "out_dir")
-
 # accepted spellings of the adaptive mode
 _MODE_ALIASES = {"self": "self_adaptive", "self_adaptive": "self_adaptive",
                  "plain": "plain"}
@@ -69,7 +48,7 @@ def build_parser() -> _Parser:
     run.add_argument("--tol-x", dest="tol_x", type=float)
     run.add_argument("--max-cond", dest="max_cond", type=float)
     run.add_argument("--stagnation-gens", dest="stagnation_gens", type=int)
-    run.add_argument("--out", help="output directory for CSV logs")
+    run.add_argument("--out", dest="out_dir", help="output directory for CSV logs")
     run.add_argument("--config", help="key=value file; command line wins")
 
     plot = sub.add_parser("plot", help="render a results directory as an SVG chart")
@@ -94,10 +73,11 @@ def _merged_run_config(args) -> harness.ExperimentConfig:
         if not path.is_file():
             raise ConfigError(f"config: {path} not found")
         merged.update(harness.parse_config_text(path.read_text()))
-    for attr, field in _RUN_FIELDS.items():
-        value = getattr(args, attr, None)
+    fields = dataclasses.fields(harness.ExperimentConfig)
+    for field in fields:
+        value = getattr(args, field.name)
         if value is not None:
-            merged[field] = value
+            merged[field.name] = value
     if "mode" in merged:
         mode = merged["mode"]
         if mode not in _MODE_ALIASES:
@@ -105,7 +85,11 @@ def _merged_run_config(args) -> harness.ExperimentConfig:
                 f"mode: expected one of {sorted(_MODE_ALIASES)}, got {mode!r}"
             )
         merged["mode"] = _MODE_ALIASES[mode]
-    missing = [name for name in _REQUIRED if name not in merged]
+    missing = [
+        f.name
+        for f in fields
+        if f.name not in merged and f.default is dataclasses.MISSING
+    ]
     if missing:
         raise ConfigError(f"{missing[0]}: required (give a flag or config entry)")
     return harness.ExperimentConfig(**merged)

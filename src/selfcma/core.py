@@ -57,7 +57,8 @@ class StrategyParams:
         mu_w: variance-effective selection mass, 1 / sum(weights^2).
         c_sigma: step-size path learning rate, in (0, 1].
         d_sigma: step-size damping, > 0.
-        c_c: covariance path learning rate, in (0, 1].
+        c_c: covariance path learning rate, in [0, 1]; at 0 the path holds
+            its value.
         c_1: rank-one covariance learning rate, >= 0.
         c_mu: rank-mu covariance learning rate, >= 0; c_1 + c_mu <= 1.
     """
@@ -94,8 +95,8 @@ class StrategyParams:
             raise ValueError(f"c_sigma must lie in (0, 1], got {self.c_sigma}")
         if not self.d_sigma > 0.0:
             raise ValueError(f"d_sigma must be > 0, got {self.d_sigma}")
-        if not 0.0 < self.c_c <= 1.0:
-            raise ValueError(f"c_c must lie in (0, 1], got {self.c_c}")
+        if not 0.0 <= self.c_c <= 1.0:
+            raise ValueError(f"c_c must lie in [0, 1], got {self.c_c}")
         if self.c_1 < 0.0 or self.c_mu < 0.0:
             raise ValueError("c_1 and c_mu must be >= 0")
         if self.c_1 + self.c_mu > 1.0:

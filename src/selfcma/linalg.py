@@ -42,10 +42,6 @@ class EigenDecomp:
     def n(self) -> int:
         return self.eigenvalues.shape[0]
 
-    def reconstruct(self) -> np.ndarray:
-        """B diag(w) B^T, the matrix this decomposition came from."""
-        return symmetrize((self.basis * self.eigenvalues) @ self.basis.T)
-
     def condition(self) -> float:
         """Ratio of largest to smallest eigenvalue."""
         return float(self.eigenvalues[-1] / self.eigenvalues[0])

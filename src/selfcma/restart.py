@@ -166,22 +166,33 @@ def _record(
     )
 
 
-def _segment_states(objective, mode, params, mean0, sigma0, seg_rng, lambda_h):
-    """Yield the post-generation states of one segment, first generation included."""
-    if mode == "plain":
-        state = core.initial_state(params, mean0, sigma0)
-        step_rng = seg_rng.child(0)
-        while True:
-            state = core.generation(objective, state, step_rng)
-            yield state
-    else:
-        driver = adapt.init_driver(
-            objective, params, mean0, sigma0, seg_rng, lambda_h=lambda_h
-        )
-        yield driver.primary
-        while True:
-            driver = adapt.self_step(driver, objective)
-            yield driver.primary
+def segment_states(objective, params, mean0, sigma0, seg_rng, search=None):
+    """Yield (state, search) after every generation of one segment, the first too.
+
+    The primary draws from child 0 of `seg_rng`. `search` is None for the
+    fixed rates of `params`, or an `adapt.RateSearch` whose rates start the
+    segment; from the second generation on, it is stepped on the update
+    before the newest one and its new rates are injected into the state.
+    """
+    if search is not None:
+        params = _with_rates(params, search)
+    state = core.initial_state(params, mean0, sigma0)
+    step_rng = seg_rng.child(0)
+    prev = None
+    while True:
+        advanced = core.generation(objective, state, step_rng)
+        if search is not None and prev is not None:
+            search = adapt.self_step(search, prev, state, advanced)
+            advanced = dataclasses.replace(
+                advanced, params=_with_rates(advanced.params, search)
+            )
+        yield advanced, search
+        prev, state = state, advanced
+
+
+def _with_rates(params: StrategyParams, search: adapt.RateSearch) -> StrategyParams:
+    rates = search.rates
+    return params.with_cov_rates(rates.c_1, rates.c_mu, rates.c_c)
 
 
 def ipop_run(
@@ -225,11 +236,16 @@ def ipop_run(
             cfg, max_evals=max(1, cfg.max_evals - evals_before)
         ).resolved(n, lam, sigma0)
         lambdas.append(lam)
+        search = (
+            None
+            if mode == "plain"
+            else adapt.init_search(lam, seg_rng.child(1), lambda_h)
+        )
 
         best_history: list[float] = []
         reason = None
-        for state in _segment_states(
-            objective, mode, params, mean0, sigma0, seg_rng, lambda_h
+        for state, _ in segment_states(
+            objective, params, mean0, sigma0, seg_rng, search
         ):
             best_ever = min(best_ever, state.last_pop.best_fitness)
             best_history.append(state.last_pop.best_fitness)

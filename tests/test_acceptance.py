@@ -12,6 +12,7 @@ per session: dimension 10, population 100, 15 runs, seed 42, budget
 300000, target 1e-8.
 """
 import dataclasses
+import itertools
 import math
 import subprocess
 import sys
@@ -23,7 +24,7 @@ import pytest
 import selfcma as sc
 from conftest import make_random_pop, make_random_state, state_as_dict
 from reference_impl import reference_h, reference_update
-from selfcma import adapt, harness, linalg
+from selfcma import adapt, harness, linalg, restart
 from selfcma.runlog import lower_median
 
 PROTOCOL_DIM = 10
@@ -187,14 +188,20 @@ def test_criterion_3_invariance_suite():
     _assert_states_identical(plain_a, plain_b)
 
     params_self = sc.default_params(5, 20)
-    driver_a = adapt.init_driver(problem, params_self, mean0, 2.0, sc.RngStream(34))
-    driver_b = adapt.init_driver(cubed, params_self, mean0, 2.0, sc.RngStream(34))
-    for _ in range(12):
-        driver_a = adapt.self_step(driver_a, problem)
-        driver_b = adapt.self_step(driver_b, cubed)
-    _assert_states_identical(driver_a.primary, driver_b.primary)
-    assert np.array_equal(driver_a.aux.mean, driver_b.aux.mean)
-    pa, pb = driver_a.primary.params, driver_b.primary.params
+
+    def self_adaptive(objective):
+        # the first generation and 12 steps of the rate search after it
+        search = adapt.init_search(20, sc.RngStream(34).child(1))
+        loop = restart.segment_states(
+            objective, params_self, mean0, 2.0, sc.RngStream(34), search
+        )
+        return list(itertools.islice(loop, 13))[-1]
+
+    primary_a, search_a = self_adaptive(problem)
+    primary_b, search_b = self_adaptive(cubed)
+    _assert_states_identical(primary_a, primary_b)
+    assert np.array_equal(search_a.aux.mean, search_b.aux.mean)
+    pa, pb = primary_a.params, primary_b.params
     assert (pa.c_1, pa.c_mu, pa.c_c) == (pb.c_1, pb.c_mu, pb.c_c)
 
     # (b) scaling the replayed covariance by s leaves the score unchanged:

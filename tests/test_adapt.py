@@ -1,6 +1,6 @@
-"""Rate encoding, penalties, the rank-agreement score, and the coupled driver."""
+"""Rate encoding, penalties, the rank-agreement score, and the rate search."""
 import dataclasses
-import math
+import itertools
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import selfcma as sc
 from conftest import make_random_pop, make_random_state, state_as_dict
 from reference_impl import reference_h
-from selfcma import adapt
+from selfcma import adapt, restart
 from selfcma.errors import DimensionMismatch
 
 triples = st.tuples(
@@ -72,45 +72,6 @@ def test_selection_weights_uniform():
     np.testing.assert_allclose(sel.weights, np.full(4, 0.25), rtol=0)
     with pytest.raises(ValueError):
         adapt.SelectionWeights(mu_sel=2, weights=np.array([0.9, 0.2]))
-
-
-def test_gaussian_logpdf_frozen_values():
-    # standard normal at the origin: -log(sqrt(2 pi))
-    got = adapt.gaussian_logpdf(np.zeros(1), np.zeros(1), np.eye(1))
-    assert got == pytest.approx(-0.9189385332046727, rel=1e-14)
-    # diag(4, 1) at (2, 0): -0.5 (2 log 2pi + log 4 + 1)
-    got = adapt.gaussian_logpdf(
-        np.array([2.0, 0.0]), np.zeros(2), np.diag([4.0, 1.0])
-    )
-    assert got == pytest.approx(-3.0310242469692907, rel=1e-14)
-
-
-def test_gaussian_logpdf_matches_closed_form_full_cov():
-    rng = sc.RngStream(21)
-    basis = rng.random_rotation(3)
-    cov = sc.linalg.symmetrize((basis * np.array([0.5, 1.0, 2.5])) @ basis.T)
-    x = rng.standard_normal_vector(3)
-    m = rng.standard_normal_vector(3)
-    expected = -0.5 * (
-        3 * math.log(2 * math.pi)
-        + math.log(np.linalg.det(cov))
-        + float((x - m) @ np.linalg.solve(cov, x - m))
-    )
-    assert adapt.gaussian_logpdf(x, m, cov) == pytest.approx(expected, rel=1e-12)
-
-
-def test_g_loglikelihood_weighted_sum():
-    cands = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 3.0]])
-    pop = sc.EvaluatedPopulation.from_fitness(cands, [0.1, 0.2, 0.9])
-    sel = adapt.SelectionWeights(2, np.array([0.7, 0.3]))
-    cov = np.diag([2.0, 2.0])
-    m = np.array([0.5, 0.5])
-    expected = 0.7 * adapt.gaussian_logpdf(cands[0], m, cov) + 0.3 * (
-        adapt.gaussian_logpdf(cands[1], m, cov)
-    )
-    assert adapt.g_loglikelihood(pop, m, cov, sel) == pytest.approx(
-        expected, rel=1e-14
-    )
 
 
 def test_descending_ranks_worked_example():
@@ -216,64 +177,99 @@ def _sphere(x):
     return float(np.sum(x**2))
 
 
-def test_init_driver_runs_warmup_generation():
-    params = sc.default_params(4, 8)
-    driver = sc.init_driver(_sphere, params, np.full(4, 2.0), 1.0, sc.RngStream(30))
-    assert driver.primary.gen == 1
-    assert driver.prev_primary.gen == 0
-    assert driver.primary.eval_count == 8
-    assert driver.aux.gen == 0
-    assert driver.sel.mu_sel == 4
-    # initial rates come from the decoded, projected auxiliary mean
-    rates = adapt.project_feasible(adapt.decode(driver.aux.mean))
-    p = driver.primary.params
-    assert (p.c_1, p.c_mu, p.c_c) == (rates.c_1, rates.c_mu, rates.c_c)
-    assert driver.rng_primary.spawn_key == (0,)
-    assert driver.rng_aux.spawn_key == (1,)
+def _states(objective, params, mean0, sigma0, seed, search, gens):
+    """The first `gens` (state, search) pairs of one segment loop."""
+    loop = restart.segment_states(
+        objective, params, mean0, sigma0, sc.RngStream(seed), search
+    )
+    return list(itertools.islice(loop, gens))
 
 
-def test_self_step_injects_decoded_aux_mean():
+def test_init_search_starts_from_its_own_stream():
+    search = adapt.init_search(8, sc.RngStream(30).child(1))
+    assert search.rng.spawn_key == (1,)
+    assert search.sel.mu_sel == 4
+    assert (search.aux.gen, search.aux.eval_count) == (0, 0)
+    assert search.aux.params.lam == adapt.DEFAULT_LAMBDA_H
+    assert search.aux.sigma == adapt.AUX_SIGMA0
+    np.testing.assert_array_equal(
+        search.aux.mean, sc.RngStream(30).child(1).uniform_vector(0.0, 1.0, 3)
+    )
+    # the rates it exposes are the decoded, projected auxiliary mean
+    assert search.rates == adapt.project_feasible(adapt.decode(search.aux.mean))
+
+
+def test_self_step_scores_the_replay_and_steps_only_the_auxiliary():
     params = sc.default_params(4, 8)
-    driver = sc.init_driver(_sphere, params, np.full(4, 2.0), 1.0, sc.RngStream(31))
-    stepped = adapt.self_step(driver, _sphere)
-    assert stepped.primary.gen == 2
-    assert stepped.aux.gen == driver.aux.gen + 1
-    assert stepped.aux.eval_count == driver.aux.eval_count + 20
-    assert stepped.prev_primary is driver.primary
-    rates = adapt.project_feasible(adapt.decode(stepped.aux.mean))
-    p = stepped.primary.params
-    assert (p.c_1, p.c_mu, p.c_c) == (rates.c_1, rates.c_mu, rates.c_c)
-    # the primary budget counts only primary evaluations
-    assert stepped.primary.eval_count == driver.primary.eval_count + 8
+    start = sc.initial_state(params, np.full(4, 2.0), 1.0)
+    primary_rng = sc.RngStream(31).child(0)
+    state = sc.generation(_sphere, start, primary_rng)
+    advanced = sc.generation(_sphere, state, primary_rng)
+    search = adapt.init_search(8, sc.RngStream(31).child(1))
+
+    stepped = adapt.self_step(search, start, state, advanced)
+    assert stepped.aux.gen == search.aux.gen + 1
+    assert stepped.aux.eval_count == search.aux.eval_count + 20
+    assert stepped.rng is search.rng and stepped.rng.spawn_key == (1,)
+    assert stepped.sel is search.sel
+    assert (advanced.gen, advanced.eval_count) == (2, 16)
+
+    # the auxiliary minimizes minus the score of replaying start -> state,
+    # ranked on the newest population
+    def minus_score(u):
+        return -adapt.h_objective(
+            adapt.decode(u), start, state.last_pop, advanced.last_pop, search.sel
+        )
+
+    fresh = adapt.init_search(8, sc.RngStream(31).child(1))
+    want = sc.generation(minus_score, fresh.aux, fresh.rng)
+    np.testing.assert_array_equal(stepped.aux.mean, want.mean)
+    assert stepped.aux.sigma == want.sigma
+
+
+def test_segment_loop_injects_the_search_rates():
+    params = sc.default_params(4, 8)
+    search = adapt.init_search(8, sc.RngStream(33).child(1))
+    pairs = _states(_sphere, params, np.full(4, 2.0), 1.0, 33, search, 5)
+    for gen, (state, stepped) in enumerate(pairs, start=1):
+        assert state.gen == gen
+        # the primary budget counts only primary evaluations
+        assert state.eval_count == 8 * gen
+        # the first generation runs on the initial rates; each later one
+        # steps the search once and injects its new rates
+        assert stepped.aux.gen == gen - 1
+        rates = stepped.rates
+        p = state.params
+        assert (p.c_1, p.c_mu, p.c_c) == (rates.c_1, rates.c_mu, rates.c_c)
+    assert pairs[0][1] is search
 
 
 def test_frozen_auxiliary_reduces_to_plain_cmaes():
     # collapse the auxiliary search: sigma ~ 0 makes every auxiliary sample
     # bitwise equal to its mean, and mu = 1 (lambda_h = 2) recombines with
-    # weight exactly one, so the auxiliary mean never moves and the primary
-    # must reproduce a plain run pinned at the decoded initial rates
+    # weight exactly one, so the auxiliary mean never moves and the loop
+    # must reproduce its fixed-rate run pinned at the decoded initial rates
     params = sc.default_params(3, 6)
     mean0 = np.array([1.5, -2.0, 0.5])
-    driver = sc.init_driver(
-        _sphere, params, mean0, 1.0, sc.RngStream(32), lambda_h=2
+    search = adapt.init_search(6, sc.RngStream(32).child(1), lambda_h=2)
+    search = dataclasses.replace(
+        search, aux=dataclasses.replace(search.aux, sigma=1e-300)
     )
-    driver = dataclasses.replace(
-        driver, aux=dataclasses.replace(driver.aux, sigma=1e-300)
-    )
-    frozen_mean = driver.aux.mean.copy()
-    pinned = adapt.project_feasible(adapt.decode(driver.aux.mean))
+    frozen_mean = search.aux.mean.copy()
+    pinned = search.rates
+    pinned_params = params.with_cov_rates(pinned.c_1, pinned.c_mu, pinned.c_c)
 
-    plain_params = params.with_cov_rates(pinned.c_1, pinned.c_mu, pinned.c_c)
-    plain = sc.initial_state(plain_params, mean0, 1.0)
-    plain_rng = sc.RngStream(32).child(0)
-
-    for step in range(12):
-        plain = sc.generation(_sphere, plain, plain_rng)
-        if step > 0:  # the driver's first generation ran inside init
-            driver = adapt.self_step(driver, _sphere)
-        np.testing.assert_array_equal(driver.aux.mean, frozen_mean)
-        p = driver.primary.params
-        assert (p.c_1, p.c_mu, p.c_c) == (pinned.c_1, pinned.c_mu, pinned.c_c)
-        np.testing.assert_array_equal(driver.primary.mean, plain.mean)
-        assert driver.primary.sigma == plain.sigma
-        np.testing.assert_array_equal(driver.primary.cov, plain.cov)
+    adaptive = _states(_sphere, params, mean0, 1.0, 32, search, 12)
+    fixed = _states(_sphere, pinned_params, mean0, 1.0, 32, None, 12)
+    for (a, stepped), (b, none) in zip(adaptive, fixed):
+        assert none is None
+        np.testing.assert_array_equal(stepped.aux.mean, frozen_mean)
+        for p in (a.params, b.params):
+            assert (p.c_1, p.c_mu, p.c_c) == (pinned.c_1, pinned.c_mu, pinned.c_c)
+        np.testing.assert_array_equal(a.mean, b.mean)
+        assert a.sigma == b.sigma
+        np.testing.assert_array_equal(a.cov, b.cov)
+        np.testing.assert_array_equal(a.path_sigma, b.path_sigma)
+        np.testing.assert_array_equal(a.path_c, b.path_c)
+        assert (a.gen, a.eval_count) == (b.gen, b.eval_count)
+    assert adaptive[-1][1].aux.gen == 11

@@ -95,6 +95,10 @@ def test_params_validation():
         dataclasses.replace(good, weights=good.weights[::-1].copy())
     with pytest.raises(ValueError):
         dataclasses.replace(good, c_sigma=0.0)
+    # a zero path rate holds the path; the rate search can project c_c to 0
+    assert dataclasses.replace(good, c_c=0.0).c_c == 0.0
+    with pytest.raises(ValueError):
+        dataclasses.replace(good, c_c=-1e-12)
 
 
 def test_with_cov_rates_replaces_only_rates():

@@ -135,6 +135,18 @@ def test_ipop_self_mode_runs_and_logs_rates():
     assert np.all(c1 + cmu <= 0.9 + 1e-12)
 
 
+def test_ipop_self_mode_accepts_zero_path_rate():
+    # run 6 of seed 13: the first auxiliary step leaves the box in c_c,
+    # which projects to exactly 0; that rate holds the path and must not raise
+    run_rng = sc.RngStream(13).child(6)
+    prob = sc.make_problem("sphere", 10, run_rng)
+    cfg = sc.StopConfig(max_evals=1000, target_f=1e-8)
+    report = sc.ipop_run(prob, 10, "self_adaptive", 100, cfg, run_rng)
+    assert report.final_reason is StopReason.BUDGET_EXHAUSTED
+    assert report.total_evals == 1000
+    assert report.log.records[1].cc == 0.0
+
+
 def test_ipop_plain_keeps_default_rates():
     prob = sc.make_problem("sphere", 4, sc.RngStream(73))
     cfg = sc.StopConfig(max_evals=5_000, target_f=1e-8)
