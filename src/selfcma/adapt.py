@@ -48,13 +48,8 @@ class HyperVector:
         )
 
 
-def encode(h: HyperVector) -> np.ndarray:
-    """Map a rate triple into the unit box the auxiliary optimizer searches."""
-    return np.array([h.c_1, h.c_mu, h.c_c]) / BOX_HIGH
-
-
 def decode(u) -> HyperVector:
-    """Inverse of `encode`; the result may be infeasible and is not projected."""
+    """Scale a unit-box point by BOX_HIGH; the result may be infeasible."""
     u = np.asarray(u, dtype=float)
     if u.shape != (AUX_DIM,):
         raise DimensionMismatch(f"expected shape ({AUX_DIM},), got {u.shape}")

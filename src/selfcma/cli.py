@@ -18,6 +18,9 @@ from .errors import ConfigError, SelfCmaError
 # accepted spellings of the adaptive mode
 _MODE_ALIASES = {"self": "self_adaptive", "self_adaptive": "self_adaptive",
                  "plain": "plain"}
+# `run` flags other than --<field name with dashes>, and the fields with choices
+_FLAGS = {"lam": "--lambda", "out_dir": "--out"}
+_CHOICES = {"problem": harness.benchmarks.PROBLEM_NAMES, "mode": sorted(_MODE_ALIASES)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -34,21 +37,13 @@ def build_parser() -> _Parser:
     )
 
     run = sub.add_parser("run", help="execute a seeded batch of optimization runs")
-    run.add_argument("--problem", choices=harness.benchmarks.PROBLEM_NAMES)
-    run.add_argument("--dim", type=int)
-    run.add_argument("--mode", choices=sorted(_MODE_ALIASES))
-    run.add_argument("--lambda", dest="lam", type=int)
-    run.add_argument("--runs", type=int)
-    run.add_argument("--seed", type=int)
-    run.add_argument("--budget", type=int)
-    run.add_argument("--target", type=float)
-    run.add_argument("--sigma0", type=float)
-    run.add_argument("--lambda-h", dest="lambda_h", type=int)
-    run.add_argument("--tol-hist-fun", dest="tol_hist_fun", type=float)
-    run.add_argument("--tol-x", dest="tol_x", type=float)
-    run.add_argument("--max-cond", dest="max_cond", type=float)
-    run.add_argument("--stagnation-gens", dest="stagnation_gens", type=int)
-    run.add_argument("--out", dest="out_dir", help="output directory for CSV logs")
+    for field in dataclasses.fields(harness.ExperimentConfig):
+        run.add_argument(
+            _FLAGS.get(field.name, "--" + field.name.replace("_", "-")),
+            dest=field.name,
+            type=harness.field_parser(field),
+            choices=_CHOICES.get(field.name),
+        )
     run.add_argument("--config", help="key=value file; command line wins")
 
     plot = sub.add_parser("plot", help="render a results directory as an SVG chart")

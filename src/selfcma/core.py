@@ -193,10 +193,6 @@ class EvaluatedPopulation:
         return self.candidates.shape[1]
 
     @property
-    def best(self) -> np.ndarray:
-        return self.candidates[self.order[0]]
-
-    @property
     def best_fitness(self) -> float:
         return float(self.fitness[self.order[0]])
 
@@ -205,10 +201,6 @@ class EvaluatedPopulation:
         """Lower median of the fitness values."""
         ranked = self.fitness[self.order]
         return float(ranked[(self.lam - 1) // 2])
-
-    def ranked(self, k: int) -> np.ndarray:
-        """The k best candidates as rows, ascending fitness."""
-        return self.candidates[self.order[:k]]
 
 
 @dataclass(frozen=True, eq=False)

@@ -48,10 +48,10 @@ class ExperimentConfig:
     target: float = 1e-10
     sigma0: float = core.INIT_SIGMA
     lambda_h: int = adapt.DEFAULT_LAMBDA_H
-    tol_hist_fun: float = 1e-12
-    tol_x: float | None = None
-    max_cond: float = 1e14
-    stagnation_gens: int | None = None
+    tol_hist_fun: float = StopConfig.tol_hist_fun
+    tol_x: float | None = StopConfig.tol_x
+    max_cond: float = StopConfig.max_cond
+    stagnation_gens: int | None = StopConfig.stagnation_gens
 
     def __post_init__(self):
         if self.problem not in benchmarks.PROBLEM_NAMES:
@@ -99,8 +99,13 @@ class ExperimentConfig:
         return "\n".join(lines) + "\n"
 
 
-_INT_FIELDS = {"dim", "lam", "runs", "seed", "budget", "lambda_h", "stagnation_gens"}
-_FLOAT_FIELDS = {"target", "sigma0", "tol_hist_fun", "tol_x", "max_cond"}
+# Annotation (a string: this module defers evaluation) -> parser of its values.
+_PARSERS = {"int": int, "float": float, "str": str}
+
+
+def field_parser(field: dataclasses.Field):
+    """The parser of a config field's values; an `X | None` field parses as X."""
+    return _PARSERS[field.type.removesuffix(" | None")]
 
 
 def parse_config_text(text: str) -> dict:
@@ -109,7 +114,7 @@ def parse_config_text(text: str) -> dict:
     Blank lines and lines starting with '#' are ignored. Unknown keys and
     unparsable values raise ConfigError naming the key.
     """
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    known = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
     out: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -123,12 +128,7 @@ def parse_config_text(text: str) -> dict:
         if key not in known:
             raise ConfigError(f"{key}: unknown config key")
         try:
-            if key in _INT_FIELDS:
-                out[key] = int(value)
-            elif key in _FLOAT_FIELDS:
-                out[key] = float(value)
-            else:
-                out[key] = value
+            out[key] = field_parser(known[key])(value)
         except ValueError as exc:
             raise ConfigError(f"{key}: cannot parse {value!r}") from exc
     return out
@@ -196,23 +196,29 @@ def run_experiment(cfg: ExperimentConfig) -> list[RestartReport]:
     """Run the whole experiment and write its output directory.
 
     Produces run_000.csv .. run_NNN.csv (one per run), summary.csv, and
-    config.txt inside cfg.out_dir. Reports come back in run order. Worker
-    processes, if the environment enables them, each own whole runs, so
-    scheduling cannot influence any numeric result.
+    config.txt inside cfg.out_dir. Each run's CSV is written as soon as that
+    run returns, so a run that raises keeps the logs of the runs before it;
+    summary.csv and config.txt are written only once every run returned.
+    Reports come back in run order. Worker processes, if the environment
+    enables them, each own whole runs, so scheduling cannot influence any
+    numeric result.
     """
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    def written(i: int, report: RestartReport) -> RestartReport:
+        report.log.to_csv(out_dir / run_name(i))
+        return report
+
     workers = _worker_count(cfg.runs)
-    indices = list(range(cfg.runs))
+    indices = range(cfg.runs)
     if workers <= 1:
-        reports = [single_run(cfg, i) for i in indices]
+        reports = [written(i, single_run(cfg, i)) for i in indices]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(single_run, [cfg] * cfg.runs, indices))
+            done = pool.map(single_run, [cfg] * cfg.runs, indices)
+            reports = [written(i, report) for i, report in zip(indices, done)]
 
-    for i, report in zip(indices, reports):
-        report.log.to_csv(out_dir / run_name(i))
     summary_lines = [SUMMARY_HEADER]
     summary_lines += [_summary_row(i, cfg, r) for i, r in zip(indices, reports)]
     (out_dir / SUMMARY_NAME).write_text("\n".join(summary_lines) + "\n")

@@ -38,10 +38,6 @@ class EigenDecomp:
     basis: np.ndarray
     eigenvalues: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.eigenvalues.shape[0]
-
     def condition(self) -> float:
         """Ratio of largest to smallest eigenvalue."""
         return float(self.eigenvalues[-1] / self.eigenvalues[0])

@@ -46,6 +46,10 @@ class StopConfig:
     tol_x defaults to 1e-12 times the initial step-size; stagnation_gens to
     100 + ceil(100 n / lam). The function-history window is always
     10 + ceil(30 n / lam) generations.
+
+    max_evals is a soft budget: a run stops at the first generation whose
+    evaluation count reaches it, so it can pass it by up to lam - 1
+    evaluations of its last segment, and it never restarts after that.
     """
 
     max_evals: int
@@ -94,7 +98,9 @@ def check_stop(
 
     `best_history` holds the per-generation best fitness of the current
     segment, oldest first; `cfg` must already be resolved. Criteria are
-    checked in a fixed priority order, target first, budget last.
+    checked in a fixed priority order: target, budget, then the criteria
+    that restart (tol_hist_fun, tol_x, condition_cov, stagnation), so a
+    generation that spends the budget never starts another segment.
     """
     hist = np.asarray(best_history, dtype=float)
     if hist.size < 1:
@@ -105,6 +111,9 @@ def check_stop(
 
     if float(hist.min()) <= cfg.target_f:
         return StopReason.TARGET_HIT
+
+    if state.eval_count >= cfg.max_evals:
+        return StopReason.BUDGET_EXHAUSTED
 
     window = hist_window(p.n, p.lam)
     if hist.size >= window:
@@ -125,9 +134,6 @@ def check_stop(
         last = int(improved[-1]) + 1 if improved.size else 0
         if hist.size - 1 - last >= cfg.stagnation_gens:
             return StopReason.STAGNATION
-
-    if state.eval_count >= cfg.max_evals:
-        return StopReason.BUDGET_EXHAUSTED
 
     return None
 
@@ -232,8 +238,9 @@ def ipop_run(
         seg_rng = rng.child(segment)
         mean0 = seg_rng.uniform_vector(core.INIT_BOX[0], core.INIT_BOX[1], n)
         params = core.default_params(n, lam)
+        # a restart means the budget was not yet spent, so this is >= 1
         seg_cfg = dataclasses.replace(
-            cfg, max_evals=max(1, cfg.max_evals - evals_before)
+            cfg, max_evals=cfg.max_evals - evals_before
         ).resolved(n, lam, sigma0)
         lambdas.append(lam)
         search = (

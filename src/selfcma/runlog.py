@@ -7,6 +7,8 @@ files on every platform, which the determinism checks rely on.
 """
 from __future__ import annotations
 
+import dataclasses
+import operator
 import os
 import tempfile
 from dataclasses import dataclass
@@ -16,22 +18,6 @@ import numpy as np
 
 from .errors import EmptyInput
 
-CSV_COLUMNS = (
-    "gen",
-    "evals",
-    "best_f",
-    "median_f",
-    "sigma",
-    "c1",
-    "cmu",
-    "cc",
-    "stop_reason",
-)
-CSV_HEADER = ",".join(CSV_COLUMNS)
-
-_INT_COLUMNS = ("gen", "evals")
-_FLOAT_COLUMNS = ("best_f", "median_f", "sigma", "c1", "cmu", "cc")
-
 
 def format_float(x: float) -> str:
     """Shortest decimal string that round-trips a double (17 significant digits)."""
@@ -40,7 +26,7 @@ def format_float(x: float) -> str:
 
 @dataclass(frozen=True)
 class GenRecord:
-    """One generation's logged quantities; column order matches CSV_COLUMNS."""
+    """One generation's logged quantities; the fields are the CSV columns, in order."""
 
     gen: int
     evals: int
@@ -53,29 +39,30 @@ class GenRecord:
     stop_reason: str = ""
 
     def to_row(self) -> str:
-        parts = [str(self.gen), str(self.evals)]
-        parts += [
-            format_float(getattr(self, name)) for name in _FLOAT_COLUMNS
-        ]
-        parts.append(self.stop_reason)
-        return ",".join(parts)
+        return ",".join([fmt(v) for fmt, v in zip(_FORMATS, _values(self))])
 
     @classmethod
     def from_row(cls, row: str) -> "GenRecord":
         parts = row.split(",")
         if len(parts) != len(CSV_COLUMNS):
             raise ValueError(f"expected {len(CSV_COLUMNS)} fields, got {len(parts)}")
-        return cls(
-            gen=int(parts[0]),
-            evals=int(parts[1]),
-            best_f=float(parts[2]),
-            median_f=float(parts[3]),
-            sigma=float(parts[4]),
-            c1=float(parts[5]),
-            cmu=float(parts[6]),
-            cc=float(parts[7]),
-            stop_reason=parts[8],
-        )
+        return cls(*[parse(part) for parse, part in zip(_PARSERS, parts)])
+
+
+# Field type (an annotation string: this module defers evaluation) ->
+# (CSV cell formatter, CSV cell parser).
+_TYPE_CODECS = {"int": (str, int), "float": (format_float, float), "str": (str, str)}
+_FIELDS = dataclasses.fields(GenRecord)
+CSV_COLUMNS = tuple(f.name for f in _FIELDS)
+CSV_HEADER = ",".join(CSV_COLUMNS)
+_FORMATS, _PARSERS = zip(*[_TYPE_CODECS[f.type] for f in _FIELDS])
+# Numeric column -> the dtype of its array.
+_DTYPES = {
+    name: np.int64 if parse is int else float
+    for name, parse in zip(CSV_COLUMNS, _PARSERS)
+    if parse is not str
+}
+_values = operator.attrgetter(*CSV_COLUMNS)  # record -> tuple of its fields
 
 
 @dataclass
@@ -92,10 +79,9 @@ class RunLog:
 
     def column(self, name: str) -> np.ndarray:
         """One column across all records, as a float or int array."""
-        if name not in CSV_COLUMNS or name == "stop_reason":
+        if name not in _DTYPES:
             raise KeyError(f"no numeric column named {name!r}")
-        dtype = np.int64 if name in _INT_COLUMNS else float
-        return np.array([getattr(r, name) for r in self.records], dtype=dtype)
+        return np.array([getattr(r, name) for r in self.records], dtype=_DTYPES[name])
 
     def to_csv_text(self) -> str:
         lines = [CSV_HEADER]
@@ -151,17 +137,10 @@ def aggregate_medians(logs: list[RunLog]) -> RunLog:
     records = []
     for idx in range(longest):
         alive = [log.records[idx] for log in logs if len(log) > idx]
-        records.append(
-            GenRecord(
-                gen=int(lower_median([r.gen for r in alive])),
-                evals=int(lower_median([r.evals for r in alive])),
-                best_f=float(lower_median([r.best_f for r in alive])),
-                median_f=float(lower_median([r.median_f for r in alive])),
-                sigma=float(lower_median([r.sigma for r in alive])),
-                c1=float(lower_median([r.c1 for r in alive])),
-                cmu=float(lower_median([r.cmu for r in alive])),
-                cc=float(lower_median([r.cc for r in alive])),
-                stop_reason="",
-            )
-        )
+        columns = zip(*map(_values, alive))
+        medians = [
+            "" if parse is str else parse(lower_median(col))
+            for parse, col in zip(_PARSERS, columns)
+        ]
+        records.append(GenRecord(*medians))
     return RunLog(records=records)

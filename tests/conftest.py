@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import selfcma as sc
-from selfcma import linalg
+from selfcma import core, linalg
 
 
 def make_random_state(seed, n, lam, cond_exp=1.5, gen_max=30):
@@ -39,7 +39,7 @@ def make_random_pop(state, seed):
     candidates = sc.sample_population(state, rng)
     anchor = state.mean + rng.standard_normal_vector(state.params.n)
     fitness = np.array([float(np.sum((x - anchor) ** 2)) for x in candidates])
-    return sc.EvaluatedPopulation.from_fitness(candidates, fitness)
+    return core.EvaluatedPopulation.from_fitness(candidates, fitness)
 
 
 def state_as_dict(state):

@@ -24,7 +24,7 @@ import pytest
 import selfcma as sc
 from conftest import make_random_pop, make_random_state, state_as_dict
 from reference_impl import reference_h, reference_update
-from selfcma import adapt, harness, linalg, restart
+from selfcma import adapt, benchmarks, core, harness, linalg, restart
 from selfcma.runlog import lower_median
 
 PROTOCOL_DIM = 10
@@ -47,7 +47,7 @@ RATIO_CAPS = (
 def protocol_dirs(tmp_path_factory):
     base = tmp_path_factory.mktemp("protocol")
     dirs = {}
-    for problem in sc.PROBLEM_NAMES:
+    for problem in benchmarks.PROBLEM_NAMES:
         for mode in harness.MODES:
             out = base / f"{problem}_{mode}"
             cfg = harness.ExperimentConfig(
@@ -182,8 +182,8 @@ def test_criterion_3_invariance_suite():
     plain_a = plain_b = sc.initial_state(params, mean0, 2.0)
     rng_a, rng_b = sc.RngStream(33), sc.RngStream(33)
     for _ in range(30):
-        plain_a = sc.generation(problem, plain_a, rng_a)
-        plain_b = sc.generation(cubed, plain_b, rng_b)
+        plain_a = core.generation(problem, plain_a, rng_a)
+        plain_b = core.generation(cubed, plain_b, rng_b)
         assert np.array_equal(plain_a.last_pop.order, plain_b.last_pop.order)
     _assert_states_identical(plain_a, plain_b)
 

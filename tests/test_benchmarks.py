@@ -5,11 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import selfcma as sc
+from selfcma import benchmarks
 from selfcma.errors import DimensionMismatch, InvalidDimension
 
 
 def test_sphere_known_values():
-    p = sc.sphere(3, np.array([1.0, -1.0, 2.0]))
+    p = benchmarks.sphere(3, np.array([1.0, -1.0, 2.0]))
     assert p(p.x_opt) == 0.0
     assert p(np.array([2.0, -1.0, 2.0])) == 1.0
     assert p(np.array([0.0, 0.0, 0.0])) == pytest.approx(6.0, rel=1e-15)
@@ -17,14 +18,14 @@ def test_sphere_known_values():
 
 def test_rosenbrock_optimum_and_classic_point():
     shift = np.array([0.5, -1.5, 2.0, 0.0])
-    p = sc.rosenbrock(4, shift)
+    p = benchmarks.rosenbrock(4, shift)
     assert p(shift) == 0.0
     # at z = 0 (x = x_opt - 1) each term is 100 z^4 ... reduces to n-1
     assert p(shift - 1.0) == pytest.approx(3.0, rel=1e-15)
 
 
 def test_rosenbrock_unshifted_matches_textbook_form():
-    p = sc.rosenbrock(2, np.ones(2))  # optimum at (1, 1), z = x
+    p = benchmarks.rosenbrock(2, np.ones(2))  # optimum at (1, 1), z = x
     x = np.array([-1.2, 1.0])  # the classic starting point
     expected = 100.0 * (x[0] ** 2 - x[1]) ** 2 + (x[0] - 1.0) ** 2
     assert p(x) == pytest.approx(expected, rel=1e-15)
@@ -32,7 +33,7 @@ def test_rosenbrock_unshifted_matches_textbook_form():
 
 def test_ellipsoid_axis_scaling():
     eye = np.eye(4)
-    p = sc.ellipsoid(4, np.zeros(4), eye)
+    p = benchmarks.ellipsoid(4, np.zeros(4), eye)
     assert p(np.zeros(4)) == 0.0
     # moving along the last axis costs 1e6 times the first
     assert p(np.array([0, 0, 0, 1.0])) / p(np.array([1.0, 0, 0, 0])) == (
@@ -44,7 +45,7 @@ def test_ellipsoid_rotation_invariant_value_set():
     rng = sc.RngStream(60)
     rot = rng.random_rotation(5)
     shifted = rng.uniform_vector(-4, 4, 5)
-    p = sc.ellipsoid(5, shifted, rot)
+    p = benchmarks.ellipsoid(5, shifted, rot)
     assert p(shifted) == pytest.approx(0.0, abs=1e-18)
     assert p(shifted + rot.T @ np.array([1.0, 0, 0, 0, 0])) == pytest.approx(
         1.0, rel=1e-9
@@ -53,7 +54,7 @@ def test_ellipsoid_rotation_invariant_value_set():
 
 def test_sharpridge_values():
     eye = np.eye(3)
-    p = sc.sharpridge(3, np.zeros(3), eye)
+    p = benchmarks.sharpridge(3, np.zeros(3), eye)
     assert p(np.zeros(3)) == 0.0
     assert p(np.array([2.0, 0.0, 0.0])) == pytest.approx(4.0, rel=1e-15)
     assert p(np.array([0.0, 3.0, 4.0])) == pytest.approx(500.0, rel=1e-15)
@@ -61,17 +62,17 @@ def test_sharpridge_values():
 
 def test_rotation_must_be_orthonormal():
     with pytest.raises(ValueError):
-        sc.ellipsoid(3, np.zeros(3), np.eye(3) * 2.0)
+        benchmarks.ellipsoid(3, np.zeros(3), np.eye(3) * 2.0)
     with pytest.raises(DimensionMismatch):
-        sc.sharpridge(3, np.zeros(3), np.eye(4))
+        benchmarks.sharpridge(3, np.zeros(3), np.eye(4))
 
 
 def test_dimension_validation():
     with pytest.raises(InvalidDimension):
-        sc.rosenbrock(1, np.zeros(1))
+        benchmarks.rosenbrock(1, np.zeros(1))
     with pytest.raises(DimensionMismatch):
-        sc.sphere(3, np.zeros(2))
-    p = sc.sphere(3, np.zeros(3))
+        benchmarks.sphere(3, np.zeros(2))
+    p = benchmarks.sphere(3, np.zeros(3))
     with pytest.raises(DimensionMismatch):
         p(np.zeros(4))
 
@@ -87,7 +88,7 @@ def test_make_problem_deterministic_and_in_box():
         sc.make_problem("banana", 6, sc.RngStream(61))
 
 
-@given(name=st.sampled_from(sc.PROBLEM_NAMES), seed=st.integers(0, 10**6))
+@given(name=st.sampled_from(benchmarks.PROBLEM_NAMES), seed=st.integers(0, 10**6))
 @settings(max_examples=40, deadline=None)
 def test_problems_nonnegative_and_zero_at_optimum(name, seed):
     p = sc.make_problem(name, 4, sc.RngStream(seed))

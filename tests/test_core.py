@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import selfcma as sc
 from conftest import make_random_pop, make_random_state, state_as_dict
 from reference_impl import reference_default_params, reference_update
+from selfcma import core
 from selfcma.errors import (
     DimensionMismatch,
     InvalidDimension,
@@ -38,14 +39,14 @@ N10_LAM100 = {
 
 
 def test_default_lambda_values():
-    assert sc.default_lambda(2) == 6
-    assert sc.default_lambda(10) == 10
-    assert sc.default_lambda(20) == 12
-    assert sc.default_lambda(40) == 15
+    assert core.default_lambda(2) == 6
+    assert core.default_lambda(10) == 10
+    assert core.default_lambda(20) == 12
+    assert core.default_lambda(40) == 15
 
 
 def test_default_weights_mu2_frozen():
-    w = sc.default_weights(2)
+    w = core.default_weights(2)
     np.testing.assert_allclose(
         w, [0.8041628599327295, 0.19583714006727054], rtol=1e-15
     )
@@ -77,10 +78,10 @@ def test_default_params_match_reference(n, lam):
 
 
 def test_expected_norm_frozen_values():
-    assert sc.expected_norm(1) == pytest.approx(0.7976190476190477, rel=1e-15)
-    assert sc.expected_norm(10) == pytest.approx(3.0847265651690123, rel=1e-15)
+    assert core.expected_norm(1) == pytest.approx(0.7976190476190477, rel=1e-15)
+    assert core.expected_norm(10) == pytest.approx(3.0847265651690123, rel=1e-15)
     with pytest.raises(InvalidDimension):
-        sc.expected_norm(0)
+        core.expected_norm(0)
 
 
 def test_params_validation():
@@ -143,7 +144,7 @@ def test_sample_population_distribution_shape():
 
 def test_population_ordering_is_stable():
     cands = np.zeros((4, 2))
-    pop = sc.EvaluatedPopulation.from_fitness(cands, [3.0, 1.0, 3.0, 0.5])
+    pop = core.EvaluatedPopulation.from_fitness(cands, [3.0, 1.0, 3.0, 0.5])
     np.testing.assert_array_equal(pop.order, [3, 1, 0, 2])
     assert pop.best_fitness == 0.5
     assert pop.median_fitness == 1.0  # lower median of (0.5, 1, 3, 3)
@@ -151,11 +152,11 @@ def test_population_ordering_is_stable():
 
 def test_population_rejects_nan_fitness():
     with pytest.raises(NonFiniteFitness):
-        sc.EvaluatedPopulation.from_fitness(np.zeros((2, 1)), [0.0, np.nan])
+        core.EvaluatedPopulation.from_fitness(np.zeros((2, 1)), [0.0, np.nan])
 
 
 def test_population_accepts_inf_fitness():
-    pop = sc.EvaluatedPopulation.from_fitness(np.zeros((2, 1)), [np.inf, 1.0])
+    pop = core.EvaluatedPopulation.from_fitness(np.zeros((2, 1)), [np.inf, 1.0])
     assert pop.best_fitness == 1.0
 
 
@@ -218,7 +219,7 @@ def test_generation_advances_bookkeeping():
         calls.append(np.array(x))
         return float(np.sum(x**2))
 
-    new = sc.generation(objective, state, sc.RngStream(91))
+    new = core.generation(objective, state, sc.RngStream(91))
     assert len(calls) == 6
     assert new.eval_count == state.eval_count + 6
     assert new.gen == state.gen + 1
@@ -232,8 +233,8 @@ def test_generation_deterministic_per_stream():
     def objective(x):
         return float(np.sum(x**2))
 
-    a = sc.generation(objective, state, sc.RngStream(93))
-    b = sc.generation(objective, state, sc.RngStream(93))
+    a = core.generation(objective, state, sc.RngStream(93))
+    b = core.generation(objective, state, sc.RngStream(93))
     np.testing.assert_array_equal(a.mean, b.mean)
     assert a.sigma == b.sigma
     np.testing.assert_array_equal(a.cov, b.cov)

@@ -4,7 +4,7 @@ import math
 import pytest
 
 import selfcma as sc
-from selfcma import harness
+from selfcma import harness, runlog
 from selfcma.errors import ConfigError, EmptyInput
 
 
@@ -74,8 +74,23 @@ def test_run_experiment_writes_expected_files(tmp_path):
     summary = (out / "summary.csv").read_text().splitlines()
     assert summary[0] == harness.SUMMARY_HEADER
     assert len(summary) == 4
-    logs = sc.load_run_logs(out)
+    logs = harness.load_run_logs(out)
     assert [len(l) for l in logs] == [len(r.log) for r in reports]
+
+
+def test_run_logs_are_written_as_runs_return(tmp_path, monkeypatch):
+    real_single_run = harness.single_run
+
+    def failing_third(cfg, index):
+        if index == 2:
+            raise RuntimeError("run 2 failed")
+        return real_single_run(cfg, index)
+
+    monkeypatch.setattr(harness, "single_run", failing_third)
+    with pytest.raises(RuntimeError, match="run 2 failed"):
+        sc.run_experiment(_cfg(tmp_path))
+    out = tmp_path / "out"
+    assert sorted(p.name for p in out.iterdir()) == ["run_000.csv", "run_001.csv"]
 
 
 def test_runs_differ_across_indices_but_reproduce_across_calls(tmp_path):
@@ -96,7 +111,7 @@ def test_runs_differ_across_indices_but_reproduce_across_calls(tmp_path):
 def test_single_run_matches_batch(tmp_path):
     cfg = _cfg(tmp_path)
     batch = sc.run_experiment(cfg)
-    alone = sc.single_run(cfg, 1)
+    alone = harness.single_run(cfg, 1)
     assert alone.log.records == batch[1].log.records
     assert alone.total_evals == batch[1].total_evals
 
@@ -133,12 +148,12 @@ def test_summary_evals_to_target_column(tmp_path):
 
 def test_evals_to_target_finds_first_crossing():
     recs = [
-        sc.GenRecord(1, 10, 5.0, 5.0, 1, 0.1, 0.1, 0.1),
-        sc.GenRecord(2, 20, 1e-9, 1.0, 1, 0.1, 0.1, 0.1),
-        sc.GenRecord(3, 30, 1e-12, 1.0, 1, 0.1, 0.1, 0.1),
+        runlog.GenRecord(1, 10, 5.0, 5.0, 1, 0.1, 0.1, 0.1),
+        runlog.GenRecord(2, 20, 1e-9, 1.0, 1, 0.1, 0.1, 0.1),
+        runlog.GenRecord(3, 30, 1e-12, 1.0, 1, 0.1, 0.1, 0.1),
     ]
-    assert harness.evals_to_target(sc.RunLog(recs), 1e-8) == 20
-    assert harness.evals_to_target(sc.RunLog(recs), 1e-15) is None
+    assert harness.evals_to_target(runlog.RunLog(recs), 1e-8) == 20
+    assert harness.evals_to_target(runlog.RunLog(recs), 1e-15) is None
 
 
 def test_compare_dirs(tmp_path):
@@ -156,18 +171,18 @@ def test_compare_dirs(tmp_path):
         + "\n0,400,400,1e-9,5,0,target_hit\n1,,500,1e-2,5,1,budget_exhausted\n"
         + "2,800,800,1e-9,5,0,target_hit\n"
     )
-    result = sc.compare_dirs(fast, slow)
+    result = harness.compare_dirs(fast, slow)
     assert result["median_a"] == 200
     assert result["median_b"] == 800  # lower median of (400, 800, inf)
     assert result["ratio"] == pytest.approx(0.25)
     with pytest.raises(ConfigError):
-        sc.compare_dirs(fast, tmp_path / "missing")
+        harness.compare_dirs(fast, tmp_path / "missing")
 
 
 def test_load_run_logs_errors(tmp_path):
     with pytest.raises(ConfigError):
-        sc.load_run_logs(tmp_path / "nowhere")
+        harness.load_run_logs(tmp_path / "nowhere")
     empty = tmp_path / "empty"
     empty.mkdir()
     with pytest.raises(EmptyInput):
-        sc.load_run_logs(empty)
+        harness.load_run_logs(empty)

@@ -7,6 +7,7 @@ import pytest
 
 import selfcma as sc
 from conftest import make_random_state
+from selfcma import restart
 from selfcma.errors import ConfigError
 from selfcma.restart import StopReason, hist_window
 
@@ -31,7 +32,7 @@ def test_config_validation_names_field():
     with pytest.raises(ConfigError, match="tol_x"):
         sc.StopConfig(max_evals=1, target_f=0.0, tol_x=-1.0)
     with pytest.raises(ConfigError, match="unresolved"):
-        sc.check_stop(
+        restart.check_stop(
             make_random_state(seed=1, n=3, lam=6),
             [1.0],
             sc.StopConfig(max_evals=1, target_f=0.0),
@@ -41,7 +42,7 @@ def test_config_validation_names_field():
 def test_target_hit_takes_priority():
     state = make_random_state(seed=2, n=3, lam=6)
     cfg = _resolved(target_f=1.0)
-    assert sc.check_stop(state, [5.0, 0.5], cfg) is StopReason.TARGET_HIT
+    assert restart.check_stop(state, [5.0, 0.5], cfg) is StopReason.TARGET_HIT
 
 
 def test_tol_hist_fun_needs_full_flat_window():
@@ -49,40 +50,54 @@ def test_tol_hist_fun_needs_full_flat_window():
     window = hist_window(3, 6)
     cfg = _resolved()
     flat = [2.0] * window
-    assert sc.check_stop(state, flat, cfg) is StopReason.TOL_HIST_FUN
-    assert sc.check_stop(state, flat[:-1], cfg) is None
+    assert restart.check_stop(state, flat, cfg) is StopReason.TOL_HIST_FUN
+    assert restart.check_stop(state, flat[:-1], cfg) is None
     varied = flat[:-1] + [2.0 + 1e-6]
-    assert sc.check_stop(state, varied, cfg) is None
+    assert restart.check_stop(state, varied, cfg) is None
 
 
 def test_tol_x_fires_when_sigma_collapses():
     state = make_random_state(seed=4, n=3, lam=6)
     tiny = dataclasses.replace(state, sigma=1e-15)
     cfg = _resolved()
-    assert sc.check_stop(tiny, [1.0], cfg) is StopReason.TOL_X
+    assert restart.check_stop(tiny, [1.0], cfg) is StopReason.TOL_X
 
 
 def test_condition_cov_fires_on_bad_conditioning():
     state = make_random_state(seed=5, n=3, lam=6)
     cov = np.diag([1e16, 1.0, 1.0])
     bad = dataclasses.replace(state, cov=cov, eigen=sc.linalg.sym_eigen(cov))
-    assert sc.check_stop(bad, [1.0], _resolved()) is StopReason.CONDITION_COV
+    assert restart.check_stop(bad, [1.0], _resolved()) is StopReason.CONDITION_COV
 
 
 def test_stagnation_counts_from_last_improvement():
     state = make_random_state(seed=6, n=3, lam=6)
     cfg = _resolved(stagnation_gens=5, tol_hist_fun=0.0)
     improving = [10.0, 9.0, 8.0, 7.0, 6.0, 5.0, 4.0]
-    assert sc.check_stop(state, improving, cfg) is None
+    assert restart.check_stop(state, improving, cfg) is None
     # improvement at index 1, then noise above the running best
     stuck = [10.0, 3.0] + [3.0 + 0.1 * k for k in (3, 1, 4, 1, 5)]
-    assert sc.check_stop(state, stuck, cfg) is StopReason.STAGNATION
+    assert restart.check_stop(state, stuck, cfg) is StopReason.STAGNATION
 
 
 def test_budget_exhausted_after_eval_count():
     state = make_random_state(seed=7, n=3, lam=6)
     spent = dataclasses.replace(state, eval_count=10_000)
-    assert sc.check_stop(spent, [1.0], _resolved()) is StopReason.BUDGET_EXHAUSTED
+    assert restart.check_stop(spent, [1.0], _resolved()) is StopReason.BUDGET_EXHAUSTED
+    # a spent budget outranks the criteria that restart
+    flat = [2.0] * hist_window(3, 6)
+    assert restart.check_stop(state, flat, _resolved()) is StopReason.TOL_HIST_FUN
+    assert restart.check_stop(spent, flat, _resolved()) is StopReason.BUDGET_EXHAUSTED
+
+
+def test_no_restart_once_the_budget_is_spent():
+    # flat fitness fires tol_hist_fun after 25 generations of 8, which is
+    # exactly the budget of 200: the run ends instead of restarting
+    cfg = sc.StopConfig(max_evals=200, target_f=-1.0)
+    report = sc.ipop_run(lambda x: 5.0, 4, "plain", 8, cfg, sc.RngStream(1))
+    assert report.total_evals == 200
+    assert report.lambdas == [8]
+    assert report.stop_reasons == [StopReason.BUDGET_EXHAUSTED]
 
 
 def test_ipop_doubles_lambda_until_target():
