@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Summarize how the adapted learning rates move over a run's lifetime.
 
-Reads experiment directories written by `selfcma run` (or the benchmark
-suite script) and prints the pooled lower median of each adapted rate over
-early, middle, and late generation windows, next to the fixed value a
-plain run would use. The late windows are the interesting ones: they show
-whether the adaptation settles above or below the defaults.
+Reads experiment directories written by `selfcma run` and prints the
+pooled lower median of each adapted rate over early, middle, and late
+generation windows, next to the fixed value a plain run would use. The
+late windows are the interesting ones: they show whether the adaptation
+settles above or below the defaults.
 """
 import argparse
 from pathlib import Path

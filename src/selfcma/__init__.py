@@ -2,8 +2,8 @@
 
 A primary CMA-ES minimizes the user's objective while a small auxiliary
 CMA-ES continuously re-estimates the learning rates (c_1, c_mu, c_c) that
-govern the covariance update. Candidate rates are scored by replaying the
-most recent distribution update under them and checking how well the newest
+govern the covariance update. Candidate rates are scored on the covariance
+half of the last update under the candidate rates, by how well the newest
 population's fitness ranking agrees with its likelihood ranking. The
 package ships four classic benchmark problems, a restart driver with
 doubling population size, and a seeded experiment harness with CSV logs and

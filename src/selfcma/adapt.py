@@ -1,13 +1,14 @@
 """Online adaptation of the covariance learning rates.
 
 A second, 3-dimensional CMA-ES searches over the triple (c_1, c_mu, c_c) in
-a normalized unit box. Each candidate triple is scored by replaying the most
-recent distribution update under that triple and measuring how well the
-newest population's fitness ranking agrees with its likelihood ranking under
-the replayed distribution: good rates put the best individuals where the
-density is highest. The auxiliary optimizer's mean, decoded and projected
-back into the feasible region, gives the primary optimizer's rates; the
-segment loop in `restart` injects them after every auxiliary step.
+a normalized unit box. Each candidate triple is scored by recomputing the
+covariance half of the last update under the candidate rates and measuring
+how well the newest population's fitness ranking agrees with its likelihood
+ranking under the resulting distribution: good rates put the best
+individuals where the density is highest. The auxiliary optimizer's mean,
+decoded and projected back into the feasible region, gives the primary
+optimizer's rates; the segment loop in `restart` injects them after every
+auxiliary step.
 """
 from __future__ import annotations
 
@@ -60,18 +61,13 @@ def decode(u) -> HyperVector:
     )
 
 
-def violation(h: HyperVector) -> float:
-    """Total constraint violation; zero exactly when `h.is_feasible()`."""
+def penalty(h: HyperVector) -> float:
+    """PENALTY_SCALE times the total constraint violation; 0 iff feasible."""
     v = 0.0
     for c in (h.c_1, h.c_mu, h.c_c):
         v += max(0.0, -c) + max(0.0, c - BOX_HIGH)
     v += max(0.0, h.c_1 + h.c_mu - BOX_HIGH)
-    return v
-
-
-def penalty(h: HyperVector) -> float:
-    """0 for feasible triples, else PENALTY_SCALE times the violation."""
-    return PENALTY_SCALE * violation(h)
+    return PENALTY_SCALE * v
 
 
 def project_feasible(h: HyperVector) -> HyperVector:
@@ -89,30 +85,6 @@ def project_feasible(h: HyperVector) -> HyperVector:
     return HyperVector(c_1=c_1, c_mu=c_mu, c_c=c_c)
 
 
-@dataclass(frozen=True, eq=False)
-class SelectionWeights:
-    """Weights over fitness ranks used by the rank-agreement score."""
-
-    mu_sel: int
-    weights: np.ndarray
-
-    def __post_init__(self):
-        if self.mu_sel < 1:
-            raise ValueError(f"mu_sel must be >= 1, got {self.mu_sel}")
-        w = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "weights", w)
-        if w.shape != (self.mu_sel,):
-            raise DimensionMismatch(f"weights shape {w.shape} != ({self.mu_sel},)")
-        if np.any(w < 0.0):
-            raise ValueError("selection weights must be >= 0")
-        if abs(float(w.sum()) - 1.0) > 1e-12:
-            raise ValueError(f"selection weights must sum to 1, got {float(w.sum())!r}")
-
-    @classmethod
-    def uniform(cls, mu_sel: int) -> "SelectionWeights":
-        return cls(mu_sel=mu_sel, weights=np.full(mu_sel, 1.0 / mu_sel))
-
-
 def descending_ranks(values) -> np.ndarray:
     """rank[i] = 1-based position of values[i] in a stable descending sort.
 
@@ -128,38 +100,33 @@ def descending_ranks(values) -> np.ndarray:
 def h_objective(
     candidate: HyperVector,
     prev_state: CmaState,
-    pop_used: EvaluatedPopulation,
+    state: CmaState,
     pop_new: EvaluatedPopulation,
-    sel: SelectionWeights,
+    mu_sel: int,
 ) -> float:
     """Rank-agreement score of a candidate learning-rate triple.
 
-    Replays the update that led to the current distribution, starting from
-    `prev_state` and consuming `pop_used`, but with the candidate rates
-    substituted. Then ranks `pop_new` by Mahalanobis distance from the
-    replayed mean under the replayed covariance (largest distance = rank 1,
-    so likelier points get larger rank numbers) and returns the
-    selection-weighted sum of the ranks received by the mu_sel best-by-fitness
-    candidates. Larger is better; the maximum is attained when the fitness
-    winners are exactly the likeliest points. Infeasible triples score minus
-    their constraint penalty without any replay.
+    Recomputes the covariance half of the update `prev_state` -> `state`
+    under the candidate rates, from the rate-free terms recorded on `state`.
+    Then ranks `pop_new` by Mahalanobis distance from `state.mean` under
+    that covariance (largest distance = rank 1, so likelier points get
+    larger rank numbers) and returns the mean rank of the mu_sel
+    best-by-fitness candidates. Larger is better; the maximum is attained
+    when the fitness winners are exactly the likeliest points. Infeasible
+    triples score minus their constraint penalty.
     """
-    if sel.mu_sel > pop_new.lam:
-        raise DimensionMismatch(
-            f"mu_sel={sel.mu_sel} exceeds population size {pop_new.lam}"
-        )
+    if not 1 <= mu_sel <= pop_new.lam:
+        raise DimensionMismatch(f"mu_sel={mu_sel} must lie in [1, {pop_new.lam}]")
     if not candidate.is_feasible():
         return -penalty(candidate)
-    replay_params = prev_state.params.with_cov_rates(
-        candidate.c_1, candidate.c_mu, candidate.c_c
+    _, cov = core.covariance_update(
+        prev_state, state.terms, candidate.c_1, candidate.c_mu, candidate.c_c
     )
-    replay_from = dataclasses.replace(prev_state, params=replay_params)
-    replayed = core.update_distribution(replay_from, pop_used)
-    inv_sqrt_c = linalg.inv_sqrt(replayed.eigen)
-    distances = linalg.mahalanobis(pop_new.candidates, replayed.mean, inv_sqrt_c)
+    inv_sqrt_c = linalg.inv_sqrt(linalg.sym_eigen(cov))
+    distances = linalg.mahalanobis(pop_new.candidates, state.mean, inv_sqrt_c)
     ranks = descending_ranks(distances)
-    top = pop_new.order[: sel.mu_sel]
-    return float(np.sum(sel.weights * ranks[top]))
+    top = pop_new.order[:mu_sel]
+    return float(np.sum(ranks[top] * (1.0 / mu_sel)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,7 +134,7 @@ class RateSearch:
     """The auxiliary optimizer over rate triples and its private random stream."""
 
     aux: CmaState
-    sel: SelectionWeights
+    mu_sel: int
     rng: RngStream
 
     @property
@@ -183,14 +150,13 @@ def init_search(
 
     The auxiliary optimizer starts from a mean drawn uniformly in the unit
     box from `rng` with step-size AUX_SIGMA0; its rates are the primary's
-    initial ones. The score weighs the best half of the primary population
-    uniformly.
+    initial ones. The score averages the ranks of the best half of the
+    primary population.
     """
     aux_params = core.default_params(AUX_DIM, lambda_h)
     aux_mean = rng.uniform_vector(0.0, 1.0, AUX_DIM)
     aux = core.initial_state(aux_params, aux_mean, AUX_SIGMA0)
-    sel = SelectionWeights.uniform(max(1, lam // 2))
-    return RateSearch(aux=aux, sel=sel, rng=rng)
+    return RateSearch(aux=aux, mu_sel=max(1, lam // 2), rng=rng)
 
 
 def self_step(
@@ -198,16 +164,16 @@ def self_step(
 ) -> RateSearch:
     """One auxiliary generation after the primary went `state` -> `advanced`.
 
-    Scores lambda_h candidate rate triples by replaying the update
-    `prev_state` -> `state` and ranking `advanced.last_pop` under the
-    result, and advances the auxiliary one generation on minus that score.
-    The primary is not touched; its next rates are the returned `rates`.
+    Scores lambda_h candidate rate triples on the covariance half of the
+    update `prev_state` -> `state` under each triple, ranking
+    `advanced.last_pop`, and advances the auxiliary one generation on minus
+    that score. The primary is not touched; its next rates are the returned
+    `rates`.
     """
-    pop_used = state.last_pop
     pop_new = advanced.last_pop
 
     def aux_objective(u):
-        return -h_objective(decode(u), prev_state, pop_used, pop_new, search.sel)
+        return -h_objective(decode(u), prev_state, state, pop_new, search.mu_sel)
 
     aux = core.generation(aux_objective, search.aux, search.rng)
     return dataclasses.replace(search, aux=aux)

@@ -1,10 +1,10 @@
 """The (mu/mu_w, lambda) CMA-ES state machine.
 
 States are immutable values: `update_distribution` consumes a state plus an
-evaluated population and returns a fresh state. That purity is what makes it
-possible to re-run a distribution update from an earlier state under
-different learning rates, which is exactly the replay the hyper-parameter
-adaptation layer is built on.
+evaluated population and returns a fresh state. It records the rate-free
+terms of its covariance update on that state, so `covariance_update` can
+recompute the covariance half of the update under other learning rates,
+which is what the hyper-parameter adaptation layer scores.
 """
 from __future__ import annotations
 
@@ -204,14 +204,25 @@ class EvaluatedPopulation:
 
 
 @dataclass(frozen=True, eq=False)
+class UpdateTerms:
+    """The rate-free terms of a covariance update."""
+
+    step: np.ndarray  # (n,) mean shift over the pre-update step-size
+    h_sigma: float  # stall indicator, 1.0 or 0.0
+    rank_mu: np.ndarray  # (n, n) weighted outer products of the selected steps
+
+
+@dataclass(frozen=True, eq=False)
 class CmaState:
     """Full strategy state after `gen` completed generations.
 
-    `eigen` always decomposes `cov`; it is carried along so samplers and
-    replays never recompute it. `last_pop` is the population whose update
-    produced this state (None for an initial state). `eval_count` counts
-    objective evaluations actually spent; distribution replays do not touch
-    the objective and therefore never increment it.
+    `eigen` always decomposes `cov`; it is carried along so samplers never
+    recompute it. `last_pop` is the population whose update produced this
+    state and `terms` the rate-free terms of that update (both None for an
+    initial state): the rate search scores a candidate triple on the
+    covariance half of the last update under the candidate rates.
+    `eval_count` counts objective evaluations actually spent; distribution
+    updates do not touch the objective and therefore never increment it.
     """
 
     params: StrategyParams
@@ -223,6 +234,7 @@ class CmaState:
     gen: int
     eigen: EigenDecomp
     last_pop: EvaluatedPopulation | None
+    terms: UpdateTerms | None
     eval_count: int
 
 
@@ -244,6 +256,7 @@ def initial_state(params: StrategyParams, mean, sigma: float) -> CmaState:
         gen=0,
         eigen=linalg.sym_eigen(cov),
         last_pop=None,
+        terms=None,
         eval_count=0,
     )
 
@@ -260,17 +273,31 @@ def sample_population(state: CmaState, rng: RngStream) -> np.ndarray:
     return state.mean + state.sigma * (scaled @ state.eigen.basis.T)
 
 
+def covariance_update(
+    state: CmaState, terms: UpdateTerms, c_1: float, c_mu: float, c_c: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(path_c, raw unsymmetrized C) of the rank-one plus rank-mu update of
+    the pre-update `state` with the rates (c_1, c_mu, c_c)."""
+    path_c = (1.0 - c_c) * state.path_c + terms.h_sigma * math.sqrt(
+        c_c * (2.0 - c_c)
+    ) * math.sqrt(state.params.mu_w) * terms.step
+    cov = (
+        (1.0 - c_1 - c_mu) * state.cov
+        + c_1 * np.outer(path_c, path_c)
+        + c_mu * terms.rank_mu
+    )
+    return path_c, cov
+
+
 def update_distribution(state: CmaState, pop: EvaluatedPopulation) -> CmaState:
     """One full distribution update from an evaluated population.
 
     In order: weighted recombination of the mean, conjugate evolution path
-    and step-size update, the stall indicator h_sigma, the covariance
-    evolution path, and the rank-one plus rank-mu covariance update. The
-    step-size path is whitened with the inverse square root of the current
-    (pre-update) covariance.
+    and step-size update, the stall indicator h_sigma, and the covariance
+    update of `covariance_update`. The step-size path is whitened with the
+    inverse square root of the current (pre-update) covariance.
 
-    Does not call the objective and does not advance `eval_count`; replaying
-    an update from a stored population is therefore free in terms of budget.
+    Does not call the objective and does not advance `eval_count`.
 
     Raises:
         NonFiniteState: if any updated field is NaN or infinite.
@@ -302,17 +329,9 @@ def update_distribution(state: CmaState, pop: EvaluatedPopulation) -> CmaState:
     )
     h_sigma = 1.0 if ps_norm < threshold else 0.0
 
-    path_c = (1.0 - p.c_c) * state.path_c + h_sigma * math.sqrt(
-        p.c_c * (2.0 - p.c_c)
-    ) * math.sqrt(p.mu_w) * step
-
     steps = (selected - state.mean) / state.sigma
-    rank_mu = (steps.T * p.weights) @ steps
-    new_cov = (
-        (1.0 - p.c_1 - p.c_mu) * state.cov
-        + p.c_1 * np.outer(path_c, path_c)
-        + p.c_mu * rank_mu
-    )
+    terms = UpdateTerms(step, h_sigma, (steps.T * p.weights) @ steps)
+    path_c, new_cov = covariance_update(state, terms, p.c_1, p.c_mu, p.c_c)
 
     new_sigma = state.sigma * math.exp(
         (p.c_sigma / p.d_sigma) * (ps_norm / chi_n - 1.0)
@@ -339,6 +358,7 @@ def update_distribution(state: CmaState, pop: EvaluatedPopulation) -> CmaState:
         gen=t_next,
         eigen=eigen,
         last_pop=pop,
+        terms=terms,
         eval_count=state.eval_count,
     )
 

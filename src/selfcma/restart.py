@@ -128,10 +128,8 @@ def check_stop(
         return StopReason.CONDITION_COV
 
     if hist.size > cfg.stagnation_gens:
-        running = np.minimum.accumulate(hist)
-        # generations since the running best last improved
-        improved = np.flatnonzero(np.diff(running) < 0)
-        last = int(improved[-1]) + 1 if improved.size else 0
+        # the running best last improved where the minimum first occurs
+        last = int(np.argmin(hist))
         if hist.size - 1 - last >= cfg.stagnation_gens:
             return StopReason.STAGNATION
 

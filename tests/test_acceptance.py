@@ -140,10 +140,9 @@ def test_criterion_2_rank_agreement_matches_brute_force():
         pop_new = make_random_pop(updated, seed=50_000 + i)
         rng = sc.RngStream(60_000 + i)
         mu_sel = rng.integers(1, lam + 1)
-        sel = adapt.SelectionWeights.uniform(mu_sel)
         # raw draws cross the constraint boundary, so both branches run
         triple = adapt.HyperVector(*rng.uniform_vector(-0.2, 0.7, 3))
-        got = adapt.h_objective(triple, state, pop_used, pop_new, sel)
+        got = adapt.h_objective(triple, state, updated, pop_new, mu_sel)
         want = reference_h(
             (triple.c_1, triple.c_mu, triple.c_c),
             state_as_dict(state),
@@ -151,7 +150,7 @@ def test_criterion_2_rank_agreement_matches_brute_force():
             pop_used.fitness,
             pop_new.candidates,
             pop_new.fitness,
-            list(sel.weights),
+            [1.0 / mu_sel] * mu_sel,
         )
         assert got == want, f"instance {i}: {got!r} != {want!r}"
         if triple.is_feasible():
@@ -212,11 +211,10 @@ def test_criterion_3_invariance_suite():
         pop_used = make_random_pop(state, seed=71_000 + i)
         updated = sc.update_distribution(state, pop_used)
         pop_new = make_random_pop(updated, seed=72_000 + i)
-        sel = adapt.SelectionWeights.uniform(4)
         triple = adapt.project_feasible(
             adapt.HyperVector(*sc.RngStream(73_000 + i).uniform_vector(0.0, 0.6, 3))
         )
-        base = adapt.h_objective(triple, state, pop_used, pop_new, sel)
+        base = adapt.h_objective(triple, state, updated, pop_new, 4)
         for s in (0.01, 100.0):
             root = math.sqrt(s)
             cov = linalg.symmetrize(state.cov * s)
@@ -227,7 +225,9 @@ def test_criterion_3_invariance_suite():
                 sigma=state.sigma / root,
                 path_c=state.path_c * root,
             )
-            got = adapt.h_objective(triple, scaled, pop_used, pop_new, sel)
+            got = adapt.h_objective(
+                triple, scaled, sc.update_distribution(scaled, pop_used), pop_new, 4
+            )
             assert got == base, f"instance {i}, scale {s}: {got!r} != {base!r}"
 
     # (c) inverting through the decomposition must reproduce the identity

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import selfcma as sc
 from conftest import make_random_pop, make_random_state, state_as_dict
 from reference_impl import reference_h
-from selfcma import adapt, core, restart
+from selfcma import adapt, core, linalg, restart
 from selfcma.errors import DimensionMismatch
 
 triples = st.tuples(
@@ -66,13 +66,6 @@ def test_penalty_known_value():
     assert adapt.penalty(h) == pytest.approx(1e9 * (0.1 + 0.4), rel=1e-12)
 
 
-def test_selection_weights_uniform():
-    sel = adapt.SelectionWeights.uniform(4)
-    np.testing.assert_allclose(sel.weights, np.full(4, 0.25), rtol=0)
-    with pytest.raises(ValueError):
-        adapt.SelectionWeights(mu_sel=2, weights=np.array([0.9, 0.2]))
-
-
 def test_descending_ranks_worked_example():
     # largest distance gets rank 1; ties break toward the lower index
     np.testing.assert_array_equal(
@@ -99,9 +92,8 @@ def test_h_objective_worked_example():
     )
     pop_new = core.EvaluatedPopulation.from_fitness(cands, [1.0, 2.0, 3.0, 4.0])
 
-    sel = adapt.SelectionWeights.uniform(2)
     rates = adapt.HyperVector(state.params.c_1, state.params.c_mu, state.params.c_c)
-    h = adapt.h_objective(rates, state, pop_used, pop_new, sel)
+    h = adapt.h_objective(rates, state, updated, pop_new, 2)
     assert h == pytest.approx(3.0, abs=1e-12)
 
 
@@ -115,22 +107,20 @@ def test_h_objective_bounds_and_extremes():
     cands = np.stack(
         [updated.mean + d * (spread @ np.array([1.0, 0.0])) for d in (0.5, 1, 2, 3)]
     )
-    sel = adapt.SelectionWeights.uniform(2)
     rates = adapt.HyperVector(state.params.c_1, state.params.c_mu, state.params.c_c)
 
     best_case = core.EvaluatedPopulation.from_fitness(cands, [1.0, 2.0, 3.0, 4.0])
-    assert adapt.h_objective(rates, state, pop_used, best_case, sel) == 3.5
+    assert adapt.h_objective(rates, state, updated, best_case, 2) == 3.5
 
     worst_case = core.EvaluatedPopulation.from_fitness(cands, [4.0, 3.0, 2.0, 1.0])
-    assert adapt.h_objective(rates, state, pop_used, worst_case, sel) == 1.5
+    assert adapt.h_objective(rates, state, updated, worst_case, 2) == 1.5
 
 
 def test_h_objective_penalizes_infeasible_without_replay():
     state = make_random_state(seed=320, n=2, lam=4)
     pop = make_random_pop(state, seed=321)
-    sel = adapt.SelectionWeights.uniform(2)
     bad = adapt.HyperVector(0.6, 0.6, 0.2)  # joint sum 1.2 > 0.9
-    got = adapt.h_objective(bad, state, pop, pop, sel)
+    got = adapt.h_objective(bad, state, state, pop, 2)
     assert got == -adapt.penalty(bad)
     assert got <= -1e9 * 0.29
 
@@ -141,12 +131,11 @@ def test_h_objective_matches_brute_force():
         pop_used = make_random_pop(state, seed=500 + seed)
         updated = sc.update_distribution(state, pop_used)
         pop_new = make_random_pop(updated, seed=600 + seed)
-        sel = adapt.SelectionWeights.uniform(4)
         rng = sc.RngStream(700 + seed)
         triple = adapt.project_feasible(
             adapt.HyperVector(*rng.uniform_vector(0.0, 0.6, 3))
         )
-        got = adapt.h_objective(triple, state, pop_used, pop_new, sel)
+        got = adapt.h_objective(triple, state, updated, pop_new, 4)
         want = reference_h(
             (triple.c_1, triple.c_mu, triple.c_c),
             state_as_dict(state),
@@ -154,7 +143,7 @@ def test_h_objective_matches_brute_force():
             pop_used.fitness,
             pop_new.candidates,
             pop_new.fitness,
-            list(sel.weights),
+            [1.0 / 4] * 4,
         )
         assert got == want, seed
 
@@ -162,14 +151,11 @@ def test_h_objective_matches_brute_force():
 def test_h_objective_mu_sel_too_large():
     state = make_random_state(seed=410, n=2, lam=4)
     pop = make_random_pop(state, seed=411)
-    with pytest.raises(DimensionMismatch):
-        adapt.h_objective(
-            adapt.HyperVector(0.1, 0.1, 0.1),
-            state,
-            pop,
-            pop,
-            adapt.SelectionWeights.uniform(5),
-        )
+    for mu_sel in (5, 0):  # the score averages 1 to lam ranks
+        with pytest.raises(DimensionMismatch):
+            adapt.h_objective(
+                adapt.HyperVector(0.1, 0.1, 0.1), state, state, pop, mu_sel
+            )
 
 
 def _sphere(x):
@@ -184,10 +170,53 @@ def _states(objective, params, mean0, sigma0, seed, search, gens):
     return list(itertools.islice(loop, gens))
 
 
+def _replayed_score(h, prev_state, pop_used, pop_new, mu_sel):
+    """The score from a full update of `prev_state` under the rates `h`."""
+    params = prev_state.params.with_cov_rates(h.c_1, h.c_mu, h.c_c)
+    replayed = sc.update_distribution(
+        dataclasses.replace(prev_state, params=params), pop_used
+    )
+    inv_sqrt_c = linalg.inv_sqrt(replayed.eigen)
+    distances = linalg.mahalanobis(pop_new.candidates, replayed.mean, inv_sqrt_c)
+    ranks = adapt.descending_ranks(distances)
+    return float(np.sum(ranks[pop_new.order[:mu_sel]] * (1.0 / mu_sel)))
+
+
+def test_h_objective_matches_the_full_update_on_a_real_segment():
+    n, lam = 10, 20
+    problem = sc.make_problem("rosenbrock", n, sc.RngStream(45))
+    mean0 = sc.RngStream(46).uniform_vector(-4.0, 4.0, n)
+    search = adapt.init_search(lam, sc.RngStream(47).child(1))
+    pairs = _states(problem, sc.default_params(n, lam), mean0, 2.0, 47, search, 40)
+    states = [state for state, _ in pairs]
+    mu_sel = search.mu_sel
+    rng = sc.RngStream(48)
+    feasible = stalled = 0
+    for prev_state, state, advanced in zip(states, states[1:], states[2:]):
+        stalled += state.terms.h_sigma == 0.0
+        used = prev_state.params  # the rates of the primary's own update
+        triples = [adapt.HyperVector(used.c_1, used.c_mu, used.c_c)]
+        triples += [
+            adapt.HyperVector(*rng.uniform_vector(-0.1, 0.95, 3)) for _ in range(6)
+        ]
+        for h in triples:
+            got = adapt.h_objective(h, prev_state, state, advanced.last_pop, mu_sel)
+            if h.is_feasible():
+                feasible += 1
+                want = _replayed_score(
+                    h, prev_state, state.last_pop, advanced.last_pop, mu_sel
+                )
+            else:
+                want = -adapt.penalty(h)
+            assert got == want, (state.gen, h)
+    assert 0 < feasible < 38 * 7
+    assert stalled > 0
+
+
 def test_init_search_starts_from_its_own_stream():
     search = adapt.init_search(8, sc.RngStream(30).child(1))
     assert search.rng.spawn_key == (1,)
-    assert search.sel.mu_sel == 4
+    assert search.mu_sel == 4
     assert (search.aux.gen, search.aux.eval_count) == (0, 0)
     assert search.aux.params.lam == adapt.DEFAULT_LAMBDA_H
     assert search.aux.sigma == adapt.AUX_SIGMA0
@@ -210,14 +239,14 @@ def test_self_step_scores_the_replay_and_steps_only_the_auxiliary():
     assert stepped.aux.gen == search.aux.gen + 1
     assert stepped.aux.eval_count == search.aux.eval_count + 20
     assert stepped.rng is search.rng and stepped.rng.spawn_key == (1,)
-    assert stepped.sel is search.sel
+    assert stepped.mu_sel == search.mu_sel
     assert (advanced.gen, advanced.eval_count) == (2, 16)
 
-    # the auxiliary minimizes minus the score of replaying start -> state,
+    # the auxiliary minimizes minus the score of the update start -> state,
     # ranked on the newest population
     def minus_score(u):
         return -adapt.h_objective(
-            adapt.decode(u), start, state.last_pop, advanced.last_pop, search.sel
+            adapt.decode(u), start, state, advanced.last_pop, search.mu_sel
         )
 
     fresh = adapt.init_search(8, sc.RngStream(31).child(1))

@@ -80,6 +80,38 @@ def test_stagnation_counts_from_last_improvement():
     assert restart.check_stop(state, stuck, cfg) is StopReason.STAGNATION
 
 
+def test_stagnation_matches_the_running_minimum_form():
+    # check_stop takes the last strict improvement of the running best as
+    # the first position of the minimum; pin that against the running
+    # minimum formula on histories with ties, plateaus and infinities
+    def last_improvement(hist):
+        with np.errstate(invalid="ignore"):  # inf - inf
+            running = np.minimum.accumulate(hist)
+            improved = np.flatnonzero(np.diff(running) < 0)
+        return int(improved[-1]) + 1 if improved.size else 0
+
+    n, lam = 40, 4  # a window longer than every history: no tol_hist_fun
+    state = make_random_state(seed=8, n=n, lam=lam)
+    rng = np.random.default_rng(9)
+    stops = 0
+    for _ in range(2000):
+        size = int(rng.integers(1, hist_window(n, lam)))
+        values = rng.integers(0, 6, size).astype(float)
+        hist = np.repeat(values, rng.integers(1, 8, size))[:size]
+        hist[rng.random(size) < 0.1] = np.inf
+        signed = hist.copy()
+        signed[rng.random(size) < 0.02] = -np.inf
+        assert int(np.argmin(signed)) == last_improvement(signed), signed
+
+        stagnation = int(rng.integers(1, size + 1))
+        cfg = _resolved(n=n, lam=lam, target_f=-1.0, stagnation_gens=stagnation)
+        stuck = size > stagnation and size - 1 - last_improvement(hist) >= stagnation
+        want = StopReason.STAGNATION if stuck else None
+        assert restart.check_stop(state, list(hist), cfg) is want, hist
+        stops += stuck
+    assert 100 < stops < 1900
+
+
 def test_budget_exhausted_after_eval_count():
     state = make_random_state(seed=7, n=3, lam=6)
     spent = dataclasses.replace(state, eval_count=10_000)
