@@ -43,3 +43,7 @@ class ConfigError(SelfCmaError, ValueError):
 
 class EmptyInput(SelfCmaError, ValueError):
     """An aggregate was requested over zero items."""
+
+
+class MalformedLog(SelfCmaError, ValueError):
+    """A run log or summary file does not parse; the message names the file."""

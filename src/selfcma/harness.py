@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import adapt, benchmarks, core, restart
-from .errors import ConfigError, EmptyInput
+from .errors import ConfigError, EmptyInput, MalformedLog
 from .restart import RestartReport, StopConfig
 from .rng import RngStream
 from .runlog import RunLog, format_float, lower_median
@@ -75,6 +75,7 @@ class ExperimentConfig:
             raise ConfigError(f"sigma0: must be > 0, got {self.sigma0}")
         if self.lambda_h < 2:
             raise ConfigError(f"lambda_h: must be >= 2, got {self.lambda_h}")
+        self.stop_config()  # validates the stop thresholds
 
     def stop_config(self) -> StopConfig:
         return StopConfig(
@@ -243,11 +244,16 @@ def read_summary_column(directory, column: str) -> list[str]:
     if not path.is_file():
         raise ConfigError(f"out_dir: {path} not found")
     lines = path.read_text().splitlines()
+    if not lines:
+        raise MalformedLog(f"{path}: missing header")
     header = lines[0].split(",")
     if column not in header:
         raise ConfigError(f"{column}: no such summary column")
     pos = header.index(column)
-    return [line.split(",")[pos] for line in lines[1:] if line]
+    rows = [line.split(",") for line in lines[1:] if line]
+    if any(len(row) != len(header) for row in rows):
+        raise MalformedLog(f"{path}: every row needs the header's {len(header)} fields")
+    return [row[pos] for row in rows]
 
 
 def median_evals_to_target(directory) -> float:

@@ -138,18 +138,31 @@ def check_stop(
 
 @dataclass
 class RestartReport:
-    """Outcome of a full run across all restart segments."""
+    """A full run: each segment's lambda, and the log the rest is read from."""
 
-    restarts: int
     lambdas: list[int]
-    total_evals: int
-    best_f: float
-    stop_reasons: list[StopReason]
     log: RunLog
+
+    @property
+    def stop_reasons(self) -> list[StopReason]:
+        """Why each segment stopped, oldest first."""
+        return [StopReason(r.stop_reason) for r in self.log if r.stop_reason]
 
     @property
     def final_reason(self) -> StopReason:
         return self.stop_reasons[-1]
+
+    @property
+    def restarts(self) -> int:
+        return len(self.stop_reasons) - 1
+
+    @property
+    def total_evals(self) -> int:
+        return self.log.records[-1].evals
+
+    @property
+    def best_f(self) -> float:
+        return self.log.records[-1].best_f
 
 
 def _record(
@@ -224,21 +237,18 @@ def ipop_run(
         raise ConfigError(f"lambda0: must be >= 2, got {lambda0}")
 
     records: list[GenRecord] = []
-    reasons: list[StopReason] = []
     lambdas: list[int] = []
     best_ever = math.inf
-    evals_before = 0
-    global_gen = 0
     lam = lambda0
-    segment = 0
 
     while True:
-        seg_rng = rng.child(segment)
+        seg_rng = rng.child(len(lambdas))
         mean0 = seg_rng.uniform_vector(core.INIT_BOX[0], core.INIT_BOX[1], n)
         params = core.default_params(n, lam)
+        spent = records[-1].evals if records else 0
         # a restart means the budget was not yet spent, so this is >= 1
         seg_cfg = dataclasses.replace(
-            cfg, max_evals=cfg.max_evals - evals_before
+            cfg, max_evals=cfg.max_evals - spent
         ).resolved(n, lam, sigma0)
         lambdas.append(lam)
         search = (
@@ -248,38 +258,17 @@ def ipop_run(
         )
 
         best_history: list[float] = []
-        reason = None
         for state, _ in segment_states(
             objective, params, mean0, sigma0, seg_rng, search
         ):
             best_ever = min(best_ever, state.last_pop.best_fitness)
             best_history.append(state.last_pop.best_fitness)
-            global_gen += 1
             reason = check_stop(state, best_history, seg_cfg)
-            records.append(
-                _record(
-                    global_gen,
-                    evals_before + state.eval_count,
-                    best_ever,
-                    state,
-                    reason,
-                )
-            )
+            evals = spent + state.eval_count
+            records.append(_record(len(records) + 1, evals, best_ever, state, reason))
             if reason is not None:
                 break
 
-        reasons.append(reason)
-        evals_before += state.eval_count
         if reason.ends_run:
-            break
+            return RestartReport(lambdas, RunLog(records))
         lam *= 2
-        segment += 1
-
-    return RestartReport(
-        restarts=segment,
-        lambdas=lambdas,
-        total_evals=evals_before,
-        best_f=best_ever,
-        stop_reasons=reasons,
-        log=RunLog(records=records),
-    )

@@ -35,27 +35,15 @@ class RngStream:
             raise InvalidRange(f"child index must be >= 0, got {index}")
         return RngStream(self.seed, self.spawn_key + (int(index),))
 
-    def standard_normal_vector(self, n: int) -> np.ndarray:
-        """One N(0, I_n) draw."""
-        if n < 1:
-            raise InvalidDimension(f"n must be >= 1, got {n}")
-        return self._gen.standard_normal(n)
-
     def standard_normal_matrix(self, rows: int, cols: int) -> np.ndarray:
         """(rows, cols) array of independent standard normals.
 
         Row k holds the same values as the k-th of `rows` consecutive
-        `standard_normal_vector(cols)` calls would.
+        `standard_normal_matrix(1, cols)` calls would.
         """
         if rows < 1 or cols < 1:
             raise InvalidDimension(f"shape ({rows}, {cols}) must be positive")
         return self._gen.standard_normal((rows, cols))
-
-    def uniform(self, low: float, high: float) -> float:
-        """One draw from U[low, high)."""
-        if not low < high:
-            raise InvalidRange(f"need low < high, got [{low}, {high})")
-        return float(self._gen.uniform(low, high))
 
     def uniform_vector(self, low: float, high: float, n: int) -> np.ndarray:
         """n independent draws from U[low, high)."""

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyInput
+from .errors import EmptyInput, MalformedLog
 
 
 def format_float(x: float) -> str:
@@ -112,8 +112,11 @@ class RunLog:
         text = Path(path).read_text()
         lines = [ln for ln in text.split("\n") if ln != ""]
         if not lines or lines[0] != CSV_HEADER:
-            raise ValueError(f"{path}: missing or wrong header")
-        return cls(records=[GenRecord.from_row(ln) for ln in lines[1:]])
+            raise MalformedLog(f"{path}: missing or wrong header")
+        try:
+            return cls(records=[GenRecord.from_row(ln) for ln in lines[1:]])
+        except ValueError as exc:
+            raise MalformedLog(f"{path}: {exc}") from exc
 
 
 def lower_median(values):

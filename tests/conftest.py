@@ -18,7 +18,7 @@ def make_random_state(seed, n, lam, cond_exp=1.5, gen_max=30):
     rng = sc.RngStream(seed)
     params = sc.default_params(n, lam)
     mean = rng.uniform_vector(-3.0, 3.0, n)
-    sigma = 10.0 ** rng.uniform(-1.0, 1.0)
+    sigma = 10.0 ** rng.uniform_vector(-1.0, 1.0, 1)[0]
     basis = rng.random_rotation(n)
     eigs = 10.0 ** rng.uniform_vector(-cond_exp, cond_exp, n)
     cov = linalg.symmetrize((basis * eigs) @ basis.T)
@@ -27,8 +27,8 @@ def make_random_state(seed, n, lam, cond_exp=1.5, gen_max=30):
         state,
         cov=cov,
         eigen=linalg.sym_eigen(cov),
-        path_sigma=0.5 * rng.standard_normal_vector(n),
-        path_c=0.5 * rng.standard_normal_vector(n),
+        path_sigma=0.5 * rng.standard_normal_matrix(1, n)[0],
+        path_c=0.5 * rng.standard_normal_matrix(1, n)[0],
         gen=rng.integers(1, gen_max),
     )
 
@@ -37,7 +37,7 @@ def make_random_pop(state, seed):
     """A population sampled from `state` with random smooth fitness."""
     rng = sc.RngStream(seed).child(9)
     candidates = sc.sample_population(state, rng)
-    anchor = state.mean + rng.standard_normal_vector(state.params.n)
+    anchor = state.mean + rng.standard_normal_matrix(1, state.params.n)[0]
     fitness = np.array([float(np.sum((x - anchor) ** 2)) for x in candidates])
     return core.EvaluatedPopulation.from_fitness(candidates, fitness)
 

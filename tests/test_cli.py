@@ -121,3 +121,36 @@ def test_csv_logs_loadable_after_cli_run(tmp_path):
     log = RunLog.from_csv(tmp_path / "out" / "run_000.csv")
     assert len(log) > 0
     assert log.records[-1].stop_reason != ""
+
+
+@pytest.mark.parametrize(
+    "flag,value", [("--tol-x", "-1"), ("--max-cond", "0.5"), ("--stagnation-gens", "0")]
+)
+def test_bad_stop_threshold_exits_one_before_writing(tmp_path, capsys, flag, value):
+    out = tmp_path / "out"
+    assert cli.main(_run_args(out, extra=[flag, value])) == 1
+    assert flag[2:].replace("-", "_") in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_plot_malformed_log_exits_two_naming_the_file(tmp_path, capsys):
+    a = tmp_path / "a"
+    assert cli.main(_run_args(a)) == 0
+    log = a / "run_000.csv"
+    header, first = log.read_text().splitlines()[:2]
+    for text in ("gen,evals\n1,8\n", f"{header}\n{first.rsplit(',', 1)[0]}\n"):
+        log.write_text(text)
+        capsys.readouterr()
+        assert cli.main(["plot", "--in", str(a), "--out", str(tmp_path / "f.svg")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("selfcma: error: ") and err.count("\n") == 1
+        assert str(log) in err
+
+
+def test_compare_empty_summary_exits_two(tmp_path, capsys):
+    a = tmp_path / "a"
+    assert cli.main(_run_args(a)) == 0
+    (a / "summary.csv").write_text("")
+    assert cli.main(["compare", "--a", str(a), "--b", str(a)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("selfcma: error: ") and "missing header" in err

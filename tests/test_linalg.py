@@ -90,7 +90,7 @@ def test_mahalanobis_scaling_property(scale, seed):
     rng = sc.RngStream(seed)
     basis = rng.random_rotation(3)
     cov = linalg.symmetrize((basis * np.array([0.5, 1.0, 4.0])) @ basis.T)
-    x = rng.standard_normal_vector(3)
+    x = rng.standard_normal_matrix(1, 3)[0]
     a1 = linalg.inv_sqrt(linalg.sym_eigen(cov))
     a2 = linalg.inv_sqrt(linalg.sym_eigen(scale * cov))
     d1 = float(linalg.mahalanobis(x, np.zeros(3), a1))

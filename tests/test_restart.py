@@ -149,9 +149,11 @@ def test_ipop_doubles_lambda_until_target():
     assert report.final_reason is StopReason.TARGET_HIT
     assert report.best_f <= 1e-9
     assert report.stop_reasons[0] is StopReason.TOL_HIST_FUN
+    assert report.stop_reasons == [StopReason.TOL_HIST_FUN, StopReason.TARGET_HIT]
     assert report.lambdas == [8, 16]
     assert report.restarts == 1
     assert report.total_evals == report.log.records[-1].evals
+    assert report.best_f == min(r.best_f for r in report.log)
 
 
 def test_ipop_budget_exhaustion_and_log_shape():
@@ -160,6 +162,7 @@ def test_ipop_budget_exhaustion_and_log_shape():
     report = sc.ipop_run(prob, 4, "plain", 8, cfg, sc.RngStream(71))
     assert report.final_reason is StopReason.BUDGET_EXHAUSTED
     assert report.total_evals >= 200
+    assert report.restarts == len(report.lambdas) - 1
     evals = report.log.column("evals")
     assert np.all(np.diff(evals) > 0)
     gens = report.log.column("gen")
