@@ -221,8 +221,6 @@ class CmaState:
     state and `terms` the rate-free terms of that update (both None for an
     initial state): the rate search scores a candidate triple on the
     covariance half of the last update under the candidate rates.
-    `eval_count` counts objective evaluations actually spent; distribution
-    updates do not touch the objective and therefore never increment it.
     """
 
     params: StrategyParams
@@ -235,7 +233,6 @@ class CmaState:
     eigen: EigenDecomp
     last_pop: EvaluatedPopulation | None
     terms: UpdateTerms | None
-    eval_count: int
 
 
 def initial_state(params: StrategyParams, mean, sigma: float) -> CmaState:
@@ -257,7 +254,6 @@ def initial_state(params: StrategyParams, mean, sigma: float) -> CmaState:
         eigen=linalg.sym_eigen(cov),
         last_pop=None,
         terms=None,
-        eval_count=0,
     )
 
 
@@ -296,8 +292,6 @@ def update_distribution(state: CmaState, pop: EvaluatedPopulation) -> CmaState:
     and step-size update, the stall indicator h_sigma, and the covariance
     update of `covariance_update`. The step-size path is whitened with the
     inverse square root of the current (pre-update) covariance.
-
-    Does not call the objective and does not advance `eval_count`.
 
     Raises:
         NonFiniteState: if any updated field is NaN or infinite.
@@ -359,16 +353,12 @@ def update_distribution(state: CmaState, pop: EvaluatedPopulation) -> CmaState:
         eigen=eigen,
         last_pop=pop,
         terms=terms,
-        eval_count=state.eval_count,
     )
 
 
 def generation(objective, state: CmaState, rng: RngStream) -> CmaState:
-    """Sample, evaluate, rank, update; advances `eval_count` by lam."""
+    """Sample, evaluate, rank, update: lam calls of `objective`."""
     candidates = sample_population(state, rng)
     fitness = np.array([float(objective(x)) for x in candidates])
     pop = EvaluatedPopulation.from_fitness(candidates, fitness)
-    updated = update_distribution(state, pop)
-    return dataclasses.replace(
-        updated, eval_count=state.eval_count + state.params.lam
-    )
+    return update_distribution(state, pop)

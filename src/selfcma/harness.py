@@ -13,7 +13,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import adapt, benchmarks, core, restart
+from . import benchmarks, restart
 from .errors import ConfigError, EmptyInput, MalformedLog
 from .restart import RestartReport, StopConfig
 from .rng import RngStream
@@ -46,12 +46,6 @@ class ExperimentConfig:
     seed: int = 42
     budget: int = 500_000
     target: float = 1e-10
-    sigma0: float = core.INIT_SIGMA
-    lambda_h: int = adapt.DEFAULT_LAMBDA_H
-    tol_hist_fun: float = StopConfig.tol_hist_fun
-    tol_x: float | None = StopConfig.tol_x
-    max_cond: float = StopConfig.max_cond
-    stagnation_gens: int | None = StopConfig.stagnation_gens
 
     def __post_init__(self):
         if self.problem not in benchmarks.PROBLEM_NAMES:
@@ -67,33 +61,21 @@ class ExperimentConfig:
             raise ConfigError(f"lam: must be >= 2, got {self.lam}")
         if self.runs < 1:
             raise ConfigError(f"runs: must be >= 1, got {self.runs}")
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
         if self.budget < 1:
             raise ConfigError(f"budget: must be >= 1, got {self.budget}")
         if not math.isfinite(self.target):
             raise ConfigError(f"target: must be finite, got {self.target}")
-        if not (math.isfinite(self.sigma0) and self.sigma0 > 0):
-            raise ConfigError(f"sigma0: must be > 0, got {self.sigma0}")
-        if self.lambda_h < 2:
-            raise ConfigError(f"lambda_h: must be >= 2, got {self.lambda_h}")
-        self.stop_config()  # validates the stop thresholds
 
     def stop_config(self) -> StopConfig:
-        return StopConfig(
-            max_evals=self.budget,
-            target_f=self.target,
-            tol_hist_fun=self.tol_hist_fun,
-            tol_x=self.tol_x,
-            max_cond=self.max_cond,
-            stagnation_gens=self.stagnation_gens,
-        )
+        return StopConfig(max_evals=self.budget, target_f=self.target)
 
     def to_text(self) -> str:
         """The config as flat key=value lines (one field per line)."""
         lines = []
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
-            if value is None:
-                continue
             if isinstance(value, float):
                 value = format_float(value)
             lines.append(f"{field.name}={value}")
@@ -105,8 +87,8 @@ _PARSERS = {"int": int, "float": float, "str": str}
 
 
 def field_parser(field: dataclasses.Field):
-    """The parser of a config field's values; an `X | None` field parses as X."""
-    return _PARSERS[field.type.removesuffix(" | None")]
+    """The parser of a config field's values."""
+    return _PARSERS[field.type]
 
 
 def parse_config_text(text: str) -> dict:
@@ -146,14 +128,7 @@ def single_run(cfg: ExperimentConfig, index: int) -> RestartReport:
     run_rng = RngStream(cfg.seed).child(index)
     problem = benchmarks.make_problem(cfg.problem, cfg.dim, run_rng)
     return restart.ipop_run(
-        problem,
-        cfg.dim,
-        cfg.mode,
-        cfg.lam,
-        cfg.stop_config(),
-        run_rng,
-        sigma0=cfg.sigma0,
-        lambda_h=cfg.lambda_h,
+        problem, cfg.dim, cfg.mode, cfg.lam, cfg.stop_config(), run_rng
     )
 
 
@@ -259,7 +234,11 @@ def read_summary_column(directory, column: str) -> list[str]:
 def median_evals_to_target(directory) -> float:
     """Lower median of per-run evals-to-target; misses count as infinity."""
     cells = read_summary_column(directory, "evals_to_target")
-    values = [float(c) if c else math.inf for c in cells]
+    try:
+        values = [float(c) if c else math.inf for c in cells]
+    except ValueError as exc:
+        path = Path(directory) / SUMMARY_NAME
+        raise MalformedLog(f"{path}: evals_to_target: {exc}") from exc
     return float(lower_median(values))
 
 

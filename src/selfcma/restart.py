@@ -7,12 +7,11 @@ mean with the initial step-size.
 """
 from __future__ import annotations
 
+import collections
 import dataclasses
 import enum
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import adapt, core
 from .core import CmaState, StrategyParams
@@ -91,35 +90,56 @@ def hist_window(n: int, lam: int) -> int:
     return 10 + math.ceil(30.0 * n / lam)
 
 
+class SegmentHistory:
+    """What the stop checks read of a segment's per-generation best fitness.
+
+    `recent` holds the last `window` bests, oldest first; `best` is the
+    segment's best so far and `since_best` the number of generations since
+    it last strictly improved. Each push costs the same however long the
+    segment has run.
+    """
+
+    def __init__(self, window: int):
+        self.recent = collections.deque(maxlen=window)
+        self.best = math.inf
+        self.since_best = 0
+
+    def push(self, f: float) -> None:
+        if f < self.best or not self.recent:
+            self.best = f
+            self.since_best = 0
+        else:
+            self.since_best += 1
+        self.recent.append(f)
+
+
 def check_stop(
-    state: CmaState, best_history, cfg: StopConfig
+    state: CmaState, history: SegmentHistory, cfg: StopConfig
 ) -> StopReason | None:
     """First stopping criterion triggered by the segment so far, or None.
 
-    `best_history` holds the per-generation best fitness of the current
-    segment, oldest first; `cfg` must already be resolved. Criteria are
-    checked in a fixed priority order: target, budget, then the criteria
-    that restart (tol_hist_fun, tol_x, condition_cov, stagnation), so a
-    generation that spends the budget never starts another segment.
+    `history` holds the current segment's per-generation best fitness, with
+    a window of `hist_window(n, lam)`; `cfg` must already be resolved.
+    Criteria are checked in a fixed priority order: target, budget, then
+    the criteria that restart (tol_hist_fun, tol_x, condition_cov,
+    stagnation), so a generation that spends the budget never starts
+    another segment.
     """
-    hist = np.asarray(best_history, dtype=float)
-    if hist.size < 1:
-        raise ValueError("best_history must contain at least one generation")
+    if not history.recent:
+        raise ValueError("history must contain at least one generation")
     if cfg.tol_x is None or cfg.stagnation_gens is None:
         raise ConfigError("cfg: unresolved fields; call resolved() first")
     p = state.params
 
-    if float(hist.min()) <= cfg.target_f:
+    if history.best <= cfg.target_f:
         return StopReason.TARGET_HIT
 
-    if state.eval_count >= cfg.max_evals:
+    if state.gen * p.lam >= cfg.max_evals:
         return StopReason.BUDGET_EXHAUSTED
 
-    window = hist_window(p.n, p.lam)
-    if hist.size >= window:
-        tail = hist[-window:]
-        if float(tail.max() - tail.min()) <= cfg.tol_hist_fun:
-            return StopReason.TOL_HIST_FUN
+    tail = history.recent
+    if len(tail) == tail.maxlen and max(tail) - min(tail) <= cfg.tol_hist_fun:
+        return StopReason.TOL_HIST_FUN
 
     if state.sigma * math.sqrt(float(state.eigen.eigenvalues[-1])) <= cfg.tol_x:
         return StopReason.TOL_X
@@ -127,11 +147,8 @@ def check_stop(
     if state.eigen.condition() > cfg.max_cond:
         return StopReason.CONDITION_COV
 
-    if hist.size > cfg.stagnation_gens:
-        # the running best last improved where the minimum first occurs
-        last = int(np.argmin(hist))
-        if hist.size - 1 - last >= cfg.stagnation_gens:
-            return StopReason.STAGNATION
+    if history.since_best >= cfg.stagnation_gens:
+        return StopReason.STAGNATION
 
     return None
 
@@ -219,8 +236,6 @@ def ipop_run(
     lambda0: int,
     cfg: StopConfig,
     rng: RngStream,
-    sigma0: float = core.INIT_SIGMA,
-    lambda_h: int = adapt.DEFAULT_LAMBDA_H,
 ) -> RestartReport:
     """Optimize until the target or the budget is hit, doubling lambda per restart.
 
@@ -249,22 +264,18 @@ def ipop_run(
         # a restart means the budget was not yet spent, so this is >= 1
         seg_cfg = dataclasses.replace(
             cfg, max_evals=cfg.max_evals - spent
-        ).resolved(n, lam, sigma0)
+        ).resolved(n, lam, core.INIT_SIGMA)
         lambdas.append(lam)
-        search = (
-            None
-            if mode == "plain"
-            else adapt.init_search(lam, seg_rng.child(1), lambda_h)
-        )
+        search = None if mode == "plain" else adapt.init_search(lam, seg_rng.child(1))
 
-        best_history: list[float] = []
+        history = SegmentHistory(hist_window(n, lam))
         for state, _ in segment_states(
-            objective, params, mean0, sigma0, seg_rng, search
+            objective, params, mean0, core.INIT_SIGMA, seg_rng, search
         ):
             best_ever = min(best_ever, state.last_pop.best_fitness)
-            best_history.append(state.last_pop.best_fitness)
-            reason = check_stop(state, best_history, seg_cfg)
-            evals = spent + state.eval_count
+            history.push(state.last_pop.best_fitness)
+            reason = check_stop(state, history, seg_cfg)
+            evals = spent + state.gen * lam
             records.append(_record(len(records) + 1, evals, best_ever, state, reason))
             if reason is not None:
                 break

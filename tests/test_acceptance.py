@@ -99,7 +99,6 @@ def _assert_states_identical(a, b):
     assert np.array_equal(a.path_sigma, b.path_sigma)
     assert np.array_equal(a.path_c, b.path_c)
     assert a.gen == b.gen
-    assert a.eval_count == b.eval_count
 
 
 def test_criterion_1_update_rule_matches_reference():

@@ -123,13 +123,27 @@ def test_csv_logs_loadable_after_cli_run(tmp_path):
     assert log.records[-1].stop_reason != ""
 
 
-@pytest.mark.parametrize(
-    "flag,value", [("--tol-x", "-1"), ("--max-cond", "0.5"), ("--stagnation-gens", "0")]
-)
-def test_bad_stop_threshold_exits_one_before_writing(tmp_path, capsys, flag, value):
+def test_removed_flags_and_negative_seed_exit_one_before_writing(tmp_path, capsys):
+    # lambda is the one user knob: the initial step size, lambda_h and the
+    # restart thresholds are fixed, so their flags and keys are refused
     out = tmp_path / "out"
-    assert cli.main(_run_args(out, extra=[flag, value])) == 1
-    assert flag[2:].replace("-", "_") in capsys.readouterr().err
+    for flag, value in (
+        ("--sigma0", "3"),
+        ("--lambda-h", "10"),
+        ("--tol-hist-fun", "1e-11"),
+        ("--tol-x", "1e-9"),
+        ("--max-cond", "1e10"),
+        ("--stagnation-gens", "50"),
+        ("--seed", "-1"),
+    ):
+        assert cli.main(_run_args(out, extra=[flag, value])) == 1, flag
+        assert flag[2:] in capsys.readouterr().err, flag
+        assert not out.exists(), flag
+
+    conf = tmp_path / "old.conf"
+    conf.write_text("sigma0=2\n")
+    assert cli.main(_run_args(out, extra=["--config", str(conf)])) == 1
+    assert "sigma0: unknown config key" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -150,7 +164,15 @@ def test_plot_malformed_log_exits_two_naming_the_file(tmp_path, capsys):
 def test_compare_empty_summary_exits_two(tmp_path, capsys):
     a = tmp_path / "a"
     assert cli.main(_run_args(a)) == 0
-    (a / "summary.csv").write_text("")
-    assert cli.main(["compare", "--a", str(a), "--b", str(a)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("selfcma: error: ") and "missing header" in err
+    summary = a / "summary.csv"
+    header = summary.read_text().splitlines()[0]
+    for text, message in (
+        ("", "missing header"),
+        (f"{header}\n0,abc,8,1,1,0,target_hit\n", "'abc'"),
+    ):
+        summary.write_text(text)
+        capsys.readouterr()
+        assert cli.main(["compare", "--a", str(a), "--b", str(a)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("selfcma: error: ") and err.count("\n") == 1
+        assert str(summary) in err and message in err

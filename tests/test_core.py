@@ -113,7 +113,7 @@ def test_with_cov_rates_replaces_only_rates():
 def test_initial_state_shape_and_validation():
     p = sc.default_params(5)
     s = sc.initial_state(p, np.zeros(5), 2.0)
-    assert s.gen == 0 and s.eval_count == 0 and s.last_pop is None
+    assert s.gen == 0 and s.last_pop is None and s.terms is None
     np.testing.assert_array_equal(s.cov, np.eye(5))
     np.testing.assert_array_equal(s.path_sigma, np.zeros(5))
     with pytest.raises(DimensionMismatch):
@@ -182,11 +182,11 @@ def test_update_matches_reference(seed, n, lam):
     assert new.gen == ref["gen"]
 
 
-def test_update_keeps_eval_count_and_stores_pop():
+def test_update_advances_gen_and_stores_pop():
     state = make_random_state(seed=77, n=3, lam=6)
     pop = make_random_pop(state, seed=78)
     new = sc.update_distribution(state, pop)
-    assert new.eval_count == state.eval_count  # replays are budget-free
+    assert new.gen == state.gen + 1
     assert new.last_pop is pop
 
 
@@ -221,7 +221,6 @@ def test_generation_advances_bookkeeping():
 
     new = core.generation(objective, state, sc.RngStream(91))
     assert len(calls) == 6
-    assert new.eval_count == state.eval_count + 6
     assert new.gen == state.gen + 1
     assert new.last_pop is not None
     np.testing.assert_array_equal(np.stack(calls), new.last_pop.candidates)

@@ -29,6 +29,8 @@ def test_config_validation_names_offending_field(tmp_path):
         _cfg(tmp_path, problem="cigar")
     with pytest.raises(ConfigError, match="runs"):
         _cfg(tmp_path, runs=0)
+    with pytest.raises(ConfigError, match="seed: must be >= 0"):
+        _cfg(tmp_path, seed=-1)
     with pytest.raises(ConfigError, match="mode"):
         _cfg(tmp_path, mode="selfish")
     with pytest.raises(ConfigError, match="lam"):

@@ -18,6 +18,21 @@ def _resolved(n=3, lam=6, sigma0=2.0, **kw):
     return sc.StopConfig(**defaults).resolved(n, lam, sigma0)
 
 
+def _history(values, n=3, lam=6):
+    history = restart.SegmentHistory(hist_window(n, lam))
+    for f in values:
+        history.push(f)
+    return history
+
+
+def _last_improvement(hist):
+    """Index of the last strict improvement of the running minimum, or 0."""
+    with np.errstate(invalid="ignore"):  # inf - inf
+        running = np.minimum.accumulate(hist)
+        improved = np.flatnonzero(np.diff(running) < 0)
+    return int(improved[-1]) + 1 if improved.size else 0
+
+
 def test_resolution_defaults():
     cfg = sc.StopConfig(max_evals=100, target_f=0.0).resolved(10, 10, 2.0)
     assert cfg.tol_x == pytest.approx(2e-12)
@@ -31,10 +46,14 @@ def test_config_validation_names_field():
         sc.StopConfig(max_evals=0, target_f=0.0)
     with pytest.raises(ConfigError, match="tol_x"):
         sc.StopConfig(max_evals=1, target_f=0.0, tol_x=-1.0)
+    with pytest.raises(ConfigError, match="max_cond"):
+        sc.StopConfig(max_evals=1, target_f=0.0, max_cond=0.5)
+    with pytest.raises(ConfigError, match="stagnation_gens"):
+        sc.StopConfig(max_evals=1, target_f=0.0, stagnation_gens=0)
     with pytest.raises(ConfigError, match="unresolved"):
         restart.check_stop(
             make_random_state(seed=1, n=3, lam=6),
-            [1.0],
+            _history([1.0]),
             sc.StopConfig(max_evals=1, target_f=0.0),
         )
 
@@ -42,7 +61,7 @@ def test_config_validation_names_field():
 def test_target_hit_takes_priority():
     state = make_random_state(seed=2, n=3, lam=6)
     cfg = _resolved(target_f=1.0)
-    assert restart.check_stop(state, [5.0, 0.5], cfg) is StopReason.TARGET_HIT
+    assert restart.check_stop(state, _history([5.0, 0.5]), cfg) is StopReason.TARGET_HIT
 
 
 def test_tol_hist_fun_needs_full_flat_window():
@@ -50,46 +69,46 @@ def test_tol_hist_fun_needs_full_flat_window():
     window = hist_window(3, 6)
     cfg = _resolved()
     flat = [2.0] * window
-    assert restart.check_stop(state, flat, cfg) is StopReason.TOL_HIST_FUN
-    assert restart.check_stop(state, flat[:-1], cfg) is None
+    assert restart.check_stop(state, _history(flat), cfg) is StopReason.TOL_HIST_FUN
+    assert restart.check_stop(state, _history(flat[:-1]), cfg) is None
     varied = flat[:-1] + [2.0 + 1e-6]
-    assert restart.check_stop(state, varied, cfg) is None
+    assert restart.check_stop(state, _history(varied), cfg) is None
+    # only the last window counts: an old outlier has left it
+    assert (
+        restart.check_stop(state, _history([9.0] + flat), cfg)
+        is StopReason.TOL_HIST_FUN
+    )
 
 
 def test_tol_x_fires_when_sigma_collapses():
     state = make_random_state(seed=4, n=3, lam=6)
     tiny = dataclasses.replace(state, sigma=1e-15)
     cfg = _resolved()
-    assert restart.check_stop(tiny, [1.0], cfg) is StopReason.TOL_X
+    assert restart.check_stop(tiny, _history([1.0]), cfg) is StopReason.TOL_X
 
 
 def test_condition_cov_fires_on_bad_conditioning():
     state = make_random_state(seed=5, n=3, lam=6)
     cov = np.diag([1e16, 1.0, 1.0])
     bad = dataclasses.replace(state, cov=cov, eigen=sc.linalg.sym_eigen(cov))
-    assert restart.check_stop(bad, [1.0], _resolved()) is StopReason.CONDITION_COV
+    reason = restart.check_stop(bad, _history([1.0]), _resolved())
+    assert reason is StopReason.CONDITION_COV
 
 
 def test_stagnation_counts_from_last_improvement():
     state = make_random_state(seed=6, n=3, lam=6)
     cfg = _resolved(stagnation_gens=5, tol_hist_fun=0.0)
     improving = [10.0, 9.0, 8.0, 7.0, 6.0, 5.0, 4.0]
-    assert restart.check_stop(state, improving, cfg) is None
+    assert restart.check_stop(state, _history(improving), cfg) is None
     # improvement at index 1, then noise above the running best
     stuck = [10.0, 3.0] + [3.0 + 0.1 * k for k in (3, 1, 4, 1, 5)]
-    assert restart.check_stop(state, stuck, cfg) is StopReason.STAGNATION
+    assert restart.check_stop(state, _history(stuck), cfg) is StopReason.STAGNATION
 
 
 def test_stagnation_matches_the_running_minimum_form():
-    # check_stop takes the last strict improvement of the running best as
-    # the first position of the minimum; pin that against the running
+    # the history counts the generations since the running best last
+    # strictly improved as it goes; pin that count against the running
     # minimum formula on histories with ties, plateaus and infinities
-    def last_improvement(hist):
-        with np.errstate(invalid="ignore"):  # inf - inf
-            running = np.minimum.accumulate(hist)
-            improved = np.flatnonzero(np.diff(running) < 0)
-        return int(improved[-1]) + 1 if improved.size else 0
-
     n, lam = 40, 4  # a window longer than every history: no tol_hist_fun
     state = make_random_state(seed=8, n=n, lam=lam)
     rng = np.random.default_rng(9)
@@ -101,23 +120,28 @@ def test_stagnation_matches_the_running_minimum_form():
         hist[rng.random(size) < 0.1] = np.inf
         signed = hist.copy()
         signed[rng.random(size) < 0.02] = -np.inf
-        assert int(np.argmin(signed)) == last_improvement(signed), signed
+        since_best = _history(signed, n, lam).since_best
+        assert since_best == size - 1 - _last_improvement(signed), signed
 
         stagnation = int(rng.integers(1, size + 1))
         cfg = _resolved(n=n, lam=lam, target_f=-1.0, stagnation_gens=stagnation)
-        stuck = size > stagnation and size - 1 - last_improvement(hist) >= stagnation
+        stuck = size > stagnation and size - 1 - _last_improvement(hist) >= stagnation
         want = StopReason.STAGNATION if stuck else None
-        assert restart.check_stop(state, list(hist), cfg) is want, hist
+        assert restart.check_stop(state, _history(hist, n, lam), cfg) is want, hist
         stops += stuck
     assert 100 < stops < 1900
 
 
 def test_budget_exhausted_after_eval_count():
+    # the budget of 10_000 evaluations is spent at generation 1667 of 6
     state = make_random_state(seed=7, n=3, lam=6)
-    spent = dataclasses.replace(state, eval_count=10_000)
-    assert restart.check_stop(spent, [1.0], _resolved()) is StopReason.BUDGET_EXHAUSTED
+    short = dataclasses.replace(state, gen=1666)
+    spent = dataclasses.replace(state, gen=1667)
+    assert restart.check_stop(short, _history([1.0]), _resolved()) is None
+    reason = restart.check_stop(spent, _history([1.0]), _resolved())
+    assert reason is StopReason.BUDGET_EXHAUSTED
     # a spent budget outranks the criteria that restart
-    flat = [2.0] * hist_window(3, 6)
+    flat = _history([2.0] * hist_window(3, 6))
     assert restart.check_stop(state, flat, _resolved()) is StopReason.TOL_HIST_FUN
     assert restart.check_stop(spent, flat, _resolved()) is StopReason.BUDGET_EXHAUSTED
 
@@ -130,6 +154,24 @@ def test_no_restart_once_the_budget_is_spent():
     assert report.total_evals == 200
     assert report.lambdas == [8]
     assert report.stop_reasons == [StopReason.BUDGET_EXHAUSTED]
+
+
+def test_ipop_restarts_on_stagnation():
+    # a floored sphere plateaus, so the running best stops improving
+    # strictly; the first segment ends on the row where the running minimum
+    # formula, applied to the logged best_f, counts 5 generations without it
+    cfg = sc.StopConfig(max_evals=3000, target_f=-1.0, stagnation_gens=5)
+    report = sc.ipop_run(
+        lambda x: float(np.floor(np.sum(x**2))), 4, "plain", 8, cfg, sc.RngStream(5)
+    )
+    assert report.stop_reasons[0] is StopReason.STAGNATION
+    assert report.lambdas[:2] == [8, 16]
+    rows = [r.stop_reason for r in report.log].index("stagnation") + 1
+    best = report.log.column("best_f")
+    first_stuck = next(
+        k for k in range(6, len(best) + 1) if k - 1 - _last_improvement(best[:k]) >= 5
+    )
+    assert rows == first_stuck == 13
 
 
 def test_ipop_doubles_lambda_until_target():
