@@ -123,6 +123,18 @@ def test_csv_logs_loadable_after_cli_run(tmp_path):
     assert log.records[-1].stop_reason != ""
 
 
+@pytest.mark.parametrize(
+    "flag,value", [("--tol-x", "-1"), ("--max-cond", "0.5"), ("--stagnation-gens", "0")]
+)
+def test_bad_stop_threshold_exits_one_before_writing(tmp_path, capsys, flag, value):
+    # the thresholds are fixed: StopConfig still checks their values
+    # (test_restart), and their flags are refused as unknown
+    out = tmp_path / "out"
+    assert cli.main(_run_args(out, extra=[flag, value])) == 1
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_removed_flags_and_negative_seed_exit_one_before_writing(tmp_path, capsys):
     # lambda is the one user knob: the initial step size, lambda_h and the
     # restart thresholds are fixed, so their flags and keys are refused
