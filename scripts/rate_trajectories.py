@@ -6,12 +6,17 @@ pooled lower median of each adapted rate over early, middle, and late
 generation windows, next to the fixed value a plain run would use. The
 late windows are the interesting ones: they show whether the adaptation
 settles above or below the defaults.
+
+Exit codes follow `selfcma`: 0 success, 1 configuration error, 2 any
+other failure to read a directory.
 """
 import argparse
+import sys
 from pathlib import Path
 
 from selfcma import harness
 from selfcma.core import default_params
+from selfcma.errors import ConfigError, SelfCmaError
 from selfcma.runlog import lower_median
 
 WINDOWS = (
@@ -54,9 +59,14 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("dirs", nargs="+", help="experiment directories")
     args = parser.parse_args()
-    for directory in args.dirs:
-        summarize(directory)
+    try:
+        for directory in args.dirs:
+            summarize(directory)
+    except (SelfCmaError, OSError) as exc:
+        print(f"rate_trajectories: error: {exc}", file=sys.stderr)
+        return 1 if isinstance(exc, ConfigError) else 2
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

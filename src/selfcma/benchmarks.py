@@ -28,7 +28,6 @@ class Problem:
     name: str
     n: int
     x_opt: np.ndarray
-    f_opt: float
     rotation: np.ndarray | None
     evaluator: Callable[[np.ndarray], float]
 
@@ -65,7 +64,7 @@ def sphere(n: int, x_opt) -> Problem:
         z = x - x_opt
         return float(z @ z)
 
-    return Problem("sphere", n, x_opt, 0.0, None, evaluate)
+    return Problem("sphere", n, x_opt, None, evaluate)
 
 
 def rosenbrock(n: int, x_opt) -> Problem:
@@ -80,7 +79,7 @@ def rosenbrock(n: int, x_opt) -> Problem:
             np.sum(100.0 * (z[:-1] ** 2 - z[1:]) ** 2 + (z[:-1] - 1.0) ** 2)
         )
 
-    return Problem("rosenbrock", n, x_opt, 0.0, None, evaluate)
+    return Problem("rosenbrock", n, x_opt, None, evaluate)
 
 
 def ellipsoid(n: int, x_opt, rotation) -> Problem:
@@ -95,7 +94,7 @@ def ellipsoid(n: int, x_opt, rotation) -> Problem:
         z = rotation @ (x - x_opt)
         return float(scales @ (z * z))
 
-    return Problem("ellipsoid", n, x_opt, 0.0, rotation, evaluate)
+    return Problem("ellipsoid", n, x_opt, rotation, evaluate)
 
 
 def sharpridge(n: int, x_opt, rotation) -> Problem:
@@ -109,7 +108,7 @@ def sharpridge(n: int, x_opt, rotation) -> Problem:
         z = rotation @ (x - x_opt)
         return float(z[0] ** 2 + 100.0 * np.sqrt(np.sum(z[1:] ** 2)))
 
-    return Problem("sharpridge", n, x_opt, 0.0, rotation, evaluate)
+    return Problem("sharpridge", n, x_opt, rotation, evaluate)
 
 
 def make_problem(name: str, n: int, rng: RngStream) -> Problem:

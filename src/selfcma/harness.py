@@ -15,11 +15,9 @@ from pathlib import Path
 
 from . import benchmarks, restart
 from .errors import ConfigError, EmptyInput, MalformedLog
-from .restart import RestartReport, StopConfig
+from .restart import MODES, RestartReport, StopConfig
 from .rng import RngStream
 from .runlog import RunLog, format_float, lower_median
-
-MODES = ("plain", "self_adaptive")
 
 SUMMARY_NAME = "summary.csv"
 CONFIG_NAME = "config.txt"

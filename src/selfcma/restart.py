@@ -19,6 +19,9 @@ from .errors import ConfigError
 from .rng import RngStream
 from .runlog import GenRecord, RunLog
 
+# the two ways to set the covariance rates: fixed defaults, or adapted online
+MODES = ("plain", "self_adaptive")
+
 
 class StopReason(str, enum.Enum):
     """Why a segment (or the whole run) stopped."""
@@ -40,11 +43,12 @@ class StopReason(str, enum.Enum):
 
 @dataclass(frozen=True)
 class StopConfig:
-    """Stopping thresholds. None fields are resolved per segment.
+    """Stopping thresholds for a whole run.
 
-    tol_x defaults to 1e-12 times the initial step-size; stagnation_gens to
-    100 + ceil(100 n / lam). The function-history window is always
-    10 + ceil(30 n / lam) generations.
+    tol_x defaults to 1e-12 times the initial step-size, 2e-12. A None
+    stagnation_gens means 100 + ceil(100 n / lam) generations, taken from
+    each segment's own population size. The function-history window is
+    always 10 + ceil(30 n / lam) generations.
 
     max_evals is a soft budget: a run stops at the first generation whose
     evaluation count reaches it, so it can pass it by up to lam - 1
@@ -54,7 +58,7 @@ class StopConfig:
     max_evals: int
     target_f: float
     tol_hist_fun: float = 1e-12
-    tol_x: float | None = None
+    tol_x: float = 1e-12 * core.INIT_SIGMA
     max_cond: float = 1e14
     stagnation_gens: int | None = None
 
@@ -65,7 +69,7 @@ class StopConfig:
             raise ConfigError(f"target_f: must be finite, got {self.target_f}")
         if self.tol_hist_fun < 0:
             raise ConfigError(f"tol_hist_fun: must be >= 0, got {self.tol_hist_fun}")
-        if self.tol_x is not None and self.tol_x <= 0:
+        if self.tol_x <= 0:
             raise ConfigError(f"tol_x: must be > 0, got {self.tol_x}")
         if self.max_cond <= 1:
             raise ConfigError(f"max_cond: must be > 1, got {self.max_cond}")
@@ -73,16 +77,6 @@ class StopConfig:
             raise ConfigError(
                 f"stagnation_gens: must be >= 1, got {self.stagnation_gens}"
             )
-
-    def resolved(self, n: int, lam: int, sigma0: float) -> "StopConfig":
-        """Fill the None fields for a segment with this population size."""
-        tol_x = self.tol_x if self.tol_x is not None else 1e-12 * sigma0
-        stagnation = (
-            self.stagnation_gens
-            if self.stagnation_gens is not None
-            else 100 + math.ceil(100.0 * n / lam)
-        )
-        return dataclasses.replace(self, tol_x=tol_x, stagnation_gens=stagnation)
 
 
 def hist_window(n: int, lam: int) -> int:
@@ -96,10 +90,12 @@ class SegmentHistory:
     `recent` holds the last `window` bests, oldest first; `best` is the
     segment's best so far and `since_best` the number of generations since
     it last strictly improved. Each push costs the same however long the
-    segment has run.
+    segment has run. `spent` is the number of evaluations the run used
+    before this segment.
     """
 
-    def __init__(self, window: int):
+    def __init__(self, window: int, spent: int = 0):
+        self.spent = spent
         self.recent = collections.deque(maxlen=window)
         self.best = math.inf
         self.since_best = 0
@@ -119,22 +115,22 @@ def check_stop(
     """First stopping criterion triggered by the segment so far, or None.
 
     `history` holds the current segment's per-generation best fitness, with
-    a window of `hist_window(n, lam)`; `cfg` must already be resolved.
-    Criteria are checked in a fixed priority order: target, budget, then
-    the criteria that restart (tol_hist_fun, tol_x, condition_cov,
-    stagnation), so a generation that spends the budget never starts
-    another segment.
+    a window of `hist_window(n, lam)`. The budget rule counts the run's
+    evaluations, `history.spent` plus this segment's. A None
+    `cfg.stagnation_gens` means 100 + ceil(100 n / lam) with this
+    segment's n and lam. Criteria are checked in a fixed priority order:
+    target, budget, then the criteria that restart (tol_hist_fun, tol_x,
+    condition_cov, stagnation), so a generation that spends the budget
+    never starts another segment.
     """
     if not history.recent:
         raise ValueError("history must contain at least one generation")
-    if cfg.tol_x is None or cfg.stagnation_gens is None:
-        raise ConfigError("cfg: unresolved fields; call resolved() first")
     p = state.params
 
     if history.best <= cfg.target_f:
         return StopReason.TARGET_HIT
 
-    if state.gen * p.lam >= cfg.max_evals:
+    if history.spent + state.gen * p.lam >= cfg.max_evals:
         return StopReason.BUDGET_EXHAUSTED
 
     tail = history.recent
@@ -147,7 +143,8 @@ def check_stop(
     if state.eigen.condition() > cfg.max_cond:
         return StopReason.CONDITION_COV
 
-    if history.since_best >= cfg.stagnation_gens:
+    stagnation = cfg.stagnation_gens or 100 + math.ceil(100.0 * p.n / p.lam)
+    if history.since_best >= stagnation:
         return StopReason.STAGNATION
 
     return None
@@ -246,8 +243,8 @@ def ipop_run(
     auxiliary optimizer grandchild 1), so a plain run and a self-adaptive
     run with the same stream see identical primary sampling noise.
     """
-    if mode not in ("plain", "self_adaptive"):
-        raise ConfigError(f"mode: expected 'plain' or 'self_adaptive', got {mode!r}")
+    if mode not in MODES:
+        raise ConfigError(f"mode: expected one of {MODES}, got {mode!r}")
     if lambda0 < 2:
         raise ConfigError(f"lambda0: must be >= 2, got {lambda0}")
 
@@ -261,20 +258,16 @@ def ipop_run(
         mean0 = seg_rng.uniform_vector(core.INIT_BOX[0], core.INIT_BOX[1], n)
         params = core.default_params(n, lam)
         spent = records[-1].evals if records else 0
-        # a restart means the budget was not yet spent, so this is >= 1
-        seg_cfg = dataclasses.replace(
-            cfg, max_evals=cfg.max_evals - spent
-        ).resolved(n, lam, core.INIT_SIGMA)
         lambdas.append(lam)
         search = None if mode == "plain" else adapt.init_search(lam, seg_rng.child(1))
 
-        history = SegmentHistory(hist_window(n, lam))
+        history = SegmentHistory(hist_window(n, lam), spent)
         for state, _ in segment_states(
             objective, params, mean0, core.INIT_SIGMA, seg_rng, search
         ):
             best_ever = min(best_ever, state.last_pop.best_fitness)
             history.push(state.last_pop.best_fitness)
-            reason = check_stop(state, history, seg_cfg)
+            reason = check_stop(state, history, cfg)
             evals = spent + state.gen * lam
             records.append(_record(len(records) + 1, evals, best_ever, state, reason))
             if reason is not None:

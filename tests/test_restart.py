@@ -1,4 +1,4 @@
-"""Stopping criteria resolution and the doubling restart loop."""
+"""Stopping criteria and the doubling restart loop."""
 import dataclasses
 import math
 
@@ -12,14 +12,14 @@ from selfcma.errors import ConfigError
 from selfcma.restart import StopReason, hist_window
 
 
-def _resolved(n=3, lam=6, sigma0=2.0, **kw):
+def _cfg(**kw):
     defaults = dict(max_evals=10_000, target_f=1e-10)
     defaults.update(kw)
-    return sc.StopConfig(**defaults).resolved(n, lam, sigma0)
+    return sc.StopConfig(**defaults)
 
 
-def _history(values, n=3, lam=6):
-    history = restart.SegmentHistory(hist_window(n, lam))
+def _history(values, n=3, lam=6, spent=0):
+    history = restart.SegmentHistory(hist_window(n, lam), spent)
     for f in values:
         history.push(f)
     return history
@@ -34,9 +34,16 @@ def _last_improvement(hist):
 
 
 def test_resolution_defaults():
-    cfg = sc.StopConfig(max_evals=100, target_f=0.0).resolved(10, 10, 2.0)
-    assert cfg.tol_x == pytest.approx(2e-12)
-    assert cfg.stagnation_gens == 100 + math.ceil(100 * 10 / 10)
+    assert sc.StopConfig(max_evals=100, target_f=0.0).tol_x == 2e-12
+    # stagnation defaults to 100 + ceil(100 n / lam) = 200 generations
+    # without a strict improvement, read from the state's own n and lam
+    state = make_random_state(seed=3, n=10, lam=10)
+    cfg = _cfg(tol_hist_fun=0.0)
+    rising = [1.0 + k for k in range(200)]
+    assert restart.check_stop(state, _history(rising, 10, 10), cfg) is None
+    stuck = _history(rising + [300.0], 10, 10)
+    assert stuck.since_best == 100 + math.ceil(100 * 10 / 10)
+    assert restart.check_stop(state, stuck, cfg) is StopReason.STAGNATION
     assert hist_window(10, 10) == 40
     assert hist_window(10, 100) == 13
 
@@ -50,24 +57,18 @@ def test_config_validation_names_field():
         sc.StopConfig(max_evals=1, target_f=0.0, max_cond=0.5)
     with pytest.raises(ConfigError, match="stagnation_gens"):
         sc.StopConfig(max_evals=1, target_f=0.0, stagnation_gens=0)
-    with pytest.raises(ConfigError, match="unresolved"):
-        restart.check_stop(
-            make_random_state(seed=1, n=3, lam=6),
-            _history([1.0]),
-            sc.StopConfig(max_evals=1, target_f=0.0),
-        )
 
 
 def test_target_hit_takes_priority():
     state = make_random_state(seed=2, n=3, lam=6)
-    cfg = _resolved(target_f=1.0)
+    cfg = _cfg(target_f=1.0)
     assert restart.check_stop(state, _history([5.0, 0.5]), cfg) is StopReason.TARGET_HIT
 
 
 def test_tol_hist_fun_needs_full_flat_window():
     state = make_random_state(seed=3, n=3, lam=6)
     window = hist_window(3, 6)
-    cfg = _resolved()
+    cfg = _cfg()
     flat = [2.0] * window
     assert restart.check_stop(state, _history(flat), cfg) is StopReason.TOL_HIST_FUN
     assert restart.check_stop(state, _history(flat[:-1]), cfg) is None
@@ -83,7 +84,7 @@ def test_tol_hist_fun_needs_full_flat_window():
 def test_tol_x_fires_when_sigma_collapses():
     state = make_random_state(seed=4, n=3, lam=6)
     tiny = dataclasses.replace(state, sigma=1e-15)
-    cfg = _resolved()
+    cfg = _cfg()
     assert restart.check_stop(tiny, _history([1.0]), cfg) is StopReason.TOL_X
 
 
@@ -91,13 +92,13 @@ def test_condition_cov_fires_on_bad_conditioning():
     state = make_random_state(seed=5, n=3, lam=6)
     cov = np.diag([1e16, 1.0, 1.0])
     bad = dataclasses.replace(state, cov=cov, eigen=sc.linalg.sym_eigen(cov))
-    reason = restart.check_stop(bad, _history([1.0]), _resolved())
+    reason = restart.check_stop(bad, _history([1.0]), _cfg())
     assert reason is StopReason.CONDITION_COV
 
 
 def test_stagnation_counts_from_last_improvement():
     state = make_random_state(seed=6, n=3, lam=6)
-    cfg = _resolved(stagnation_gens=5, tol_hist_fun=0.0)
+    cfg = _cfg(stagnation_gens=5, tol_hist_fun=0.0)
     improving = [10.0, 9.0, 8.0, 7.0, 6.0, 5.0, 4.0]
     assert restart.check_stop(state, _history(improving), cfg) is None
     # improvement at index 1, then noise above the running best
@@ -124,7 +125,7 @@ def test_stagnation_matches_the_running_minimum_form():
         assert since_best == size - 1 - _last_improvement(signed), signed
 
         stagnation = int(rng.integers(1, size + 1))
-        cfg = _resolved(n=n, lam=lam, target_f=-1.0, stagnation_gens=stagnation)
+        cfg = _cfg(target_f=-1.0, stagnation_gens=stagnation)
         stuck = size > stagnation and size - 1 - _last_improvement(hist) >= stagnation
         want = StopReason.STAGNATION if stuck else None
         assert restart.check_stop(state, _history(hist, n, lam), cfg) is want, hist
@@ -137,13 +138,16 @@ def test_budget_exhausted_after_eval_count():
     state = make_random_state(seed=7, n=3, lam=6)
     short = dataclasses.replace(state, gen=1666)
     spent = dataclasses.replace(state, gen=1667)
-    assert restart.check_stop(short, _history([1.0]), _resolved()) is None
-    reason = restart.check_stop(spent, _history([1.0]), _resolved())
+    assert restart.check_stop(short, _history([1.0]), _cfg()) is None
+    reason = restart.check_stop(spent, _history([1.0]), _cfg())
     assert reason is StopReason.BUDGET_EXHAUSTED
+    # evaluations spent by earlier segments count towards the budget
+    later = _history([1.0], spent=6)
+    assert restart.check_stop(short, later, _cfg()) is StopReason.BUDGET_EXHAUSTED
     # a spent budget outranks the criteria that restart
     flat = _history([2.0] * hist_window(3, 6))
-    assert restart.check_stop(state, flat, _resolved()) is StopReason.TOL_HIST_FUN
-    assert restart.check_stop(spent, flat, _resolved()) is StopReason.BUDGET_EXHAUSTED
+    assert restart.check_stop(state, flat, _cfg()) is StopReason.TOL_HIST_FUN
+    assert restart.check_stop(spent, flat, _cfg()) is StopReason.BUDGET_EXHAUSTED
 
 
 def test_no_restart_once_the_budget_is_spent():
@@ -154,6 +158,16 @@ def test_no_restart_once_the_budget_is_spent():
     assert report.total_evals == 200
     assert report.lambdas == [8]
     assert report.stop_reasons == [StopReason.BUDGET_EXHAUSTED]
+    # the budget is the run's, not each segment's: three flat segments
+    # spend 200 + 288 + 448 evaluations, and the fourth stops after one
+    # generation of 64, at 1000
+    cfg = sc.StopConfig(max_evals=1000, target_f=-1.0)
+    for mode in restart.MODES:
+        report = sc.ipop_run(lambda x: 5.0, 4, mode, 8, cfg, sc.RngStream(1))
+        assert report.lambdas == [8, 16, 32, 64], mode
+        assert report.total_evals == 1000, mode
+        want = [StopReason.TOL_HIST_FUN] * 3 + [StopReason.BUDGET_EXHAUSTED]
+        assert report.stop_reasons == want, mode
 
 
 def test_ipop_restarts_on_stagnation():
