@@ -1,9 +1,11 @@
 """Command-line interface.
 
-Three subcommands: `run` executes a seeded experiment and writes CSV logs,
+Four subcommands: `run` executes a seeded experiment and writes CSV logs,
 `plot` turns a results directory into an SVG trajectory chart, `compare`
-prints the median evals-to-target ratio of two result directories. Exit
-codes: 0 success, 1 configuration error, 2 runtime failure.
+prints the median evals-to-target ratio of two result directories, and
+`rates` prints the pooled median of each adapted rate over generation
+windows of result directories. Exit codes: 0 success, 1 configuration
+error, 2 runtime failure.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from . import harness, runlog, svgplot
+from . import core, harness, runlog, svgplot
 from .errors import ConfigError, SelfCmaError
 
 # accepted spellings of the adaptive mode
@@ -33,7 +35,7 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> _Parser:
     parser = _Parser(prog="selfcma", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(
-        dest="command", metavar="{run,plot,compare}", parser_class=_Parser
+        dest="command", metavar="{run,plot,compare,rates}", parser_class=_Parser
     )
 
     run = sub.add_parser("run", help="execute a seeded batch of optimization runs")
@@ -57,6 +59,9 @@ def build_parser() -> _Parser:
     compare.add_argument("--a", required=True)
     compare.add_argument("--b", required=True)
 
+    rates = sub.add_parser("rates", help="median adapted rates over run windows")
+    rates.add_argument("--in", dest="in_dirs", nargs="+", required=True, metavar="DIR")
+
     return parser
 
 
@@ -68,11 +73,15 @@ def _merged_run_config(args) -> harness.ExperimentConfig:
         if not path.is_file():
             raise ConfigError(f"config: {path} not found")
         merged.update(harness.parse_config_text(path.read_text()))
-    fields = dataclasses.fields(harness.ExperimentConfig)
-    for field in fields:
+    for field in dataclasses.fields(harness.ExperimentConfig):
         value = getattr(args, field.name)
         if value is not None:
             merged[field.name] = value
+    return _experiment_config(merged)
+
+
+def _experiment_config(merged: dict) -> harness.ExperimentConfig:
+    """The experiment of typed config keys (from `run` or `rates`), checked."""
     if "mode" in merged:
         mode = merged["mode"]
         if mode not in _MODE_ALIASES:
@@ -82,7 +91,7 @@ def _merged_run_config(args) -> harness.ExperimentConfig:
         merged["mode"] = _MODE_ALIASES[mode]
     missing = [
         f.name
-        for f in fields
+        for f in dataclasses.fields(harness.ExperimentConfig)
         if f.name not in merged and f.default is dataclasses.MISSING
     ]
     if missing:
@@ -119,16 +128,39 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+def _cmd_rates(args) -> int:
+    for directory in map(Path, args.in_dirs):
+        logs = harness.load_run_logs(directory)
+        text = (directory / harness.CONFIG_NAME).read_text()
+        cfg = _experiment_config(harness.parse_config_text(text))
+        defaults = core.default_params(cfg.dim, cfg.lam)
+        print(f"{directory}  ({cfg.problem} dim={cfg.dim} mode={cfg.mode},"
+              f" {len(logs)} runs)")
+        for column, fixed in (
+            ("c1", defaults.c_1),
+            ("cmu", defaults.c_mu),
+            ("cc", defaults.c_c),
+        ):
+            cells = "  ".join(
+                f"{window} {runlog.pooled_median(logs, column, window):.4f}"
+                for window in runlog.WINDOWS
+            )
+            print(f"  {column:<4} default {fixed:.4f}  |  {cells}")
+    return 0
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         if args.command is None:
-            raise ConfigError("missing subcommand (run, plot, or compare)")
+            raise ConfigError("missing subcommand (run, plot, compare, or rates)")
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "plot":
             return _cmd_plot(args)
+        if args.command == "rates":
+            return _cmd_rates(args)
         return _cmd_compare(args)
     except ConfigError as exc:
         print(f"selfcma: config error: {exc}", file=sys.stderr)

@@ -204,7 +204,7 @@ def load_run_logs(directory) -> list[RunLog]:
     """All run_*.csv logs in a directory, sorted by run index."""
     directory = Path(directory)
     if not directory.is_dir():
-        raise ConfigError(f"out_dir: {directory} is not a directory")
+        raise ConfigError(f"{directory} is not a directory")
     paths = sorted(directory.glob("run_*.csv"))
     if not paths:
         raise EmptyInput(f"no run_*.csv files in {directory}")
@@ -215,7 +215,7 @@ def read_summary_column(directory, column: str) -> list[str]:
     """One column of a directory's summary.csv, as raw strings."""
     path = Path(directory) / SUMMARY_NAME
     if not path.is_file():
-        raise ConfigError(f"out_dir: {path} not found")
+        raise ConfigError(f"{path} not found")
     lines = path.read_text().splitlines()
     if not lines:
         raise MalformedLog(f"{path}: missing header")

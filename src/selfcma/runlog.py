@@ -8,6 +8,7 @@ files on every platform, which the determinism checks rely on.
 from __future__ import annotations
 
 import dataclasses
+import math
 import operator
 import os
 import tempfile
@@ -125,6 +126,35 @@ def lower_median(values):
     if not ordered:
         raise EmptyInput("median of zero values")
     return ordered[(len(ordered) - 1) // 2]
+
+
+# Named shares of a run's generations, as (lo, hi, d): a run of k generations
+# contributes generations k * lo // d up to, not including, k * hi // d.
+# Integer bounds stay exact where a float share (0.9 * k) does not.
+WINDOWS = {
+    "first quarter": (0, 1, 4),
+    "middle half": (1, 3, 4),
+    "final quarter": (3, 4, 4),
+    "final tenth": (9, 10, 10),
+}
+
+
+def window_slice(window: str, k: int) -> slice:
+    """The generations of a k-generation run that fall in the named window."""
+    lo, hi, d = WINDOWS[window]
+    return slice(k * lo // d, k * hi // d)
+
+
+def pooled_median(logs: list[RunLog], column: str, window: str) -> float:
+    """Lower median of a column pooled over the named window of every run.
+
+    nan when no run has a generation in the window.
+    """
+    pooled = []
+    for log in logs:
+        values = log.column(column)
+        pooled.extend(values[window_slice(window, len(values))].tolist())
+    return float(lower_median(pooled)) if pooled else math.nan
 
 
 def aggregate_medians(logs: list[RunLog]) -> RunLog:

@@ -25,7 +25,7 @@ import selfcma as sc
 from conftest import make_random_pop, make_random_state, state_as_dict
 from reference_impl import reference_h, reference_update
 from selfcma import adapt, benchmarks, core, harness, linalg, restart
-from selfcma.runlog import lower_median
+from selfcma.runlog import pooled_median
 
 PROTOCOL_DIM = 10
 PROTOCOL_LAM = 100
@@ -64,32 +64,6 @@ def protocol_dirs(tmp_path_factory):
             harness.run_experiment(cfg)
             dirs[problem, mode] = out
     return dirs
-
-
-def _pooled_median(logs, column, window):
-    """Lower median of a rate column pooled over a per-run generation window.
-
-    `window` maps a run's generation count to the (start, stop) slice whose
-    values contribute to the pool.
-    """
-    pooled = []
-    for log in logs:
-        values = log.column(column)
-        lo, hi = window(len(values))
-        pooled.extend(float(v) for v in values[lo:hi])
-    return float(lower_median(pooled))
-
-
-def _final_quarter(k):
-    return (3 * k) // 4, k
-
-
-def _middle_half(k):
-    return k // 4, (3 * k) // 4
-
-
-def _final_tenth(k):
-    return (9 * k) // 10, k
 
 
 def _assert_states_identical(a, b):
@@ -289,7 +263,7 @@ def test_criterion_5_adapted_rates_end_above_defaults(protocol_dirs):
     for problem in ("sphere", "rosenbrock"):
         logs = harness.load_run_logs(protocol_dirs[problem, "self_adaptive"])
         for column, floor in (("cmu", defaults.c_mu), ("cc", defaults.c_c)):
-            got = _pooled_median(logs, column, _final_quarter)
+            got = pooled_median(logs, column, "final quarter")
             if not got > floor:
                 shortfalls.append(
                     f"{problem} {column}: final-quarter median {got:.6g}"
@@ -300,8 +274,8 @@ def test_criterion_5_adapted_rates_end_above_defaults(protocol_dirs):
 
 def test_criterion_6_adapted_cmu_declines_near_optimum(protocol_dirs):
     logs = harness.load_run_logs(protocol_dirs["rosenbrock", "self_adaptive"])
-    mid = _pooled_median(logs, "cmu", _middle_half)
-    late = _pooled_median(logs, "cmu", _final_tenth)
+    mid = pooled_median(logs, "cmu", "middle half")
+    late = pooled_median(logs, "cmu", "final tenth")
     assert late < mid, f"final-tenth median {late:.6g} !< middle-half {mid:.6g}"
 
 

@@ -102,9 +102,20 @@ def test_bad_config_file_path_exit_one(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
-def test_plot_missing_directory_exit_one(tmp_path, capsys):
-    code = cli.main(["plot", "--in", str(tmp_path / "void"), "--out", "x.svg"])
-    assert code == 1
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["plot", "--in", "VOID", "--out", "x.svg"],
+        ["compare", "--a", "VOID", "--b", "VOID"],
+        ["rates", "--in", "VOID"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_missing_directory_exits_one_naming_the_path(tmp_path, capsys, args):
+    void = str(tmp_path / "void")
+    assert cli.main([void if a == "VOID" else a for a in args]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and void in err and "out_dir" not in err
 
 
 def test_plot_unwritable_output_exit_two(tmp_path, capsys):
@@ -188,3 +199,45 @@ def test_compare_empty_summary_exits_two(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("selfcma: error: ") and err.count("\n") == 1
         assert str(summary) in err and message in err
+
+
+@pytest.fixture(scope="module")
+def rates_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("runs") / "out"
+    args = "run --problem sphere --dim 2 --mode self --lambda 6 --runs 1 --budget 120"
+    assert cli.main([*args.split(), "--out", str(out)]) == 0
+    return out
+
+
+def test_rates_summarizes_a_run(rates_dir, capsys):
+    assert cli.main(["rates", "--in", str(rates_dir)]) == 0
+    out = capsys.readouterr().out
+    assert "sphere dim=2 mode=self_adaptive, 1 runs" in out
+    assert [line.split()[0] for line in out.splitlines()[1:]] == ["c1", "cmu", "cc"]
+
+
+@pytest.mark.parametrize(
+    "case, code, words",
+    [
+        ("unknown config key", 1, "sigma0: unknown config key"),
+        ("no run logs", 2, "no run_*.csv files"),
+        ("no config file", 2, "config.txt"),
+        ("no dim line", 1, "dim: required (give a flag or config entry)"),
+        ("lam=1", 1, "lam: must be >= 2, got 1"),
+    ],
+)
+def test_rates_bad_input_is_one_line(rates_dir, tmp_path, capsys, case, code, words):
+    if case != "no run logs":
+        log = rates_dir / "run_000.csv"
+        (tmp_path / log.name).write_bytes(log.read_bytes())
+    config = (rates_dir / "config.txt").read_text()
+    if case == "unknown config key":
+        (tmp_path / "config.txt").write_text("sigma0=2\n")
+    elif case == "no dim line":
+        (tmp_path / "config.txt").write_text(config.replace("dim=2\n", ""))
+    elif case == "lam=1":
+        (tmp_path / "config.txt").write_text(config.replace("lam=6\n", "lam=1\n"))
+    assert cli.main(["rates", "--in", str(tmp_path)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("selfcma: ") and err.count("\n") == 1
+    assert words in err

@@ -1,4 +1,6 @@
 """CSV round-trips, byte determinism, and median aggregation."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,11 +9,14 @@ from hypothesis import strategies as st
 from selfcma.errors import EmptyInput
 from selfcma.runlog import (
     CSV_HEADER,
+    WINDOWS,
     GenRecord,
     RunLog,
     aggregate_medians,
     format_float,
     lower_median,
+    pooled_median,
+    window_slice,
 )
 
 
@@ -121,3 +126,35 @@ def test_aggregate_medians_permutation_invariant():
     assert a.records == b.records
     with pytest.raises(EmptyInput):
         aggregate_medians([])
+
+
+def test_pooled_median_windows():
+    for k in range(41):
+        expected = {
+            "first quarter": (0, k // 4),
+            "middle half": (k // 4, (3 * k) // 4),
+            "final quarter": ((3 * k) // 4, k),
+            "final tenth": ((9 * k) // 10, k),
+        }
+        assert set(WINDOWS) == set(expected)
+        for window, bounds in expected.items():
+            assert window_slice(window, k) == slice(*bounds), (window, k)
+
+    # a 10-generation run with c1 = 0..9 and a 5-generation one with -5..-1;
+    # e.g. the final tenth pools generation 9 of the first and 4 of the second
+    logs = [
+        RunLog([_rec(i, 1.0, c1=float(i)) for i in range(10)]),
+        RunLog([_rec(i, 1.0, c1=float(i - 5)) for i in range(5)]),
+    ]
+    got = {window: pooled_median(logs, "c1", window) for window in WINDOWS}
+    assert got == {
+        "first quarter": 0.0,  # of -5, 0, 1
+        "middle half": 3.0,  # of -4, -3, 2, 3, 4, 5, 6
+        "final quarter": 7.0,  # of -2, -1, 7, 8, 9
+        "final tenth": -1.0,  # of -1, 9
+    }
+
+    # three generations leave the first quarter empty in every run
+    short = [RunLog([_rec(i, 1.0, c1=0.5) for i in range(3)])] * 2
+    assert math.isnan(pooled_median(short, "c1", "first quarter"))
+    assert pooled_median(short, "c1", "final quarter") == 0.5
