@@ -1,14 +1,15 @@
 """Online adaptation of the covariance learning rates.
 
 A second, 3-dimensional CMA-ES searches over the triple (c_1, c_mu, c_c) in
-a normalized unit box. Each candidate triple is scored by recomputing the
-covariance half of the last update under the candidate rates and measuring
-how well the newest population's fitness ranking agrees with its likelihood
-ranking under the resulting distribution: good rates put the best
-individuals where the density is highest. The auxiliary optimizer's mean,
-decoded and projected back into the feasible region, gives the primary
-optimizer's rates; the segment loop in `restart` injects them after every
-auxiliary step.
+a normalized unit box; a population of triples is a (k, 3) array. Each
+candidate triple is scored by recomputing the covariance half of the last
+update under the candidate rates, all candidates in one stacked
+computation, and measuring how well the newest population's fitness
+ranking agrees with its likelihood ranking under the resulting
+distribution: good rates put the best individuals where the density is
+highest. The auxiliary optimizer's mean, decoded and projected back into
+the feasible region, gives the primary optimizer's rates; the segment loop
+in `restart` injects them after every auxiliary step.
 """
 from __future__ import annotations
 
@@ -32,101 +33,104 @@ AUX_SIGMA0 = 0.2
 DEFAULT_LAMBDA_H = 20
 
 
-@dataclass(frozen=True)
-class HyperVector:
-    """One learning-rate triple for the covariance update."""
-
-    c_1: float
-    c_mu: float
-    c_c: float
-
-    def is_feasible(self) -> bool:
-        return (
-            0.0 <= self.c_1 <= BOX_HIGH
-            and 0.0 <= self.c_mu <= BOX_HIGH
-            and 0.0 <= self.c_c <= BOX_HIGH
-            and self.c_1 + self.c_mu <= BOX_HIGH
-        )
-
-
-def decode(u) -> HyperVector:
-    """Scale a unit-box point by BOX_HIGH; the result may be infeasible."""
+def decode(u) -> np.ndarray:
+    """Scale unit-box points by BOX_HIGH: (..., 3) -> (..., 3) rate triples
+    (c_1, c_mu, c_c), one per row; the results may be infeasible."""
     u = np.asarray(u, dtype=float)
-    if u.shape != (AUX_DIM,):
-        raise DimensionMismatch(f"expected shape ({AUX_DIM},), got {u.shape}")
-    return HyperVector(
-        c_1=float(BOX_HIGH * u[0]),
-        c_mu=float(BOX_HIGH * u[1]),
-        c_c=float(BOX_HIGH * u[2]),
-    )
+    if u.ndim == 0 or u.shape[-1] != AUX_DIM:
+        raise DimensionMismatch(f"expected shape (..., {AUX_DIM}), got {u.shape}")
+    return BOX_HIGH * u
 
 
-def penalty(h: HyperVector) -> float:
-    """PENALTY_SCALE times the total constraint violation; 0 iff feasible."""
-    v = 0.0
-    for c in (h.c_1, h.c_mu, h.c_c):
-        v += max(0.0, -c) + max(0.0, c - BOX_HIGH)
-    v += max(0.0, h.c_1 + h.c_mu - BOX_HIGH)
+def is_feasible(triples) -> np.ndarray:
+    """Which rows of a (..., 3) triple array lie in the feasible set."""
+    h = np.asarray(triples, dtype=float)
+    in_box = np.all((0.0 <= h) & (h <= BOX_HIGH), axis=-1)
+    return in_box & (h[..., 0] + h[..., 1] <= BOX_HIGH)
+
+
+def penalty(triples) -> np.ndarray:
+    """PENALTY_SCALE times each row's total constraint violation; 0 iff feasible.
+
+    The violations are added column by column, c_1 then c_mu then c_c, then
+    the joint cap, so each entry has the bits of a scalar left-to-right sum.
+    """
+    h = np.asarray(triples, dtype=float)
+    v = np.zeros(h.shape[:-1])
+    for c in np.moveaxis(h, -1, 0):
+        v = v + (np.maximum(0.0, -c) + np.maximum(0.0, c - BOX_HIGH))
+    v = v + np.maximum(0.0, h[..., 0] + h[..., 1] - BOX_HIGH)
     return PENALTY_SCALE * v
 
 
-def project_feasible(h: HyperVector) -> HyperVector:
+def project_feasible(c_1: float, c_mu: float, c_c: float) -> tuple[float, float, float]:
     """Clamp each rate to [0, BOX_HIGH], then shrink (c_1, c_mu) radially
     onto the joint cap if their sum still exceeds it."""
-    c_1 = min(max(h.c_1, 0.0), BOX_HIGH)
-    c_mu = min(max(h.c_mu, 0.0), BOX_HIGH)
-    c_c = min(max(h.c_c, 0.0), BOX_HIGH)
+    c_1, c_mu, c_c = (min(max(float(c), 0.0), BOX_HIGH) for c in (c_1, c_mu, c_c))
     # The shrink can round one ulp back above the cap, so repeat until it
     # lands inside; two passes suffice in practice.
     while c_1 + c_mu > BOX_HIGH:
         shrink = BOX_HIGH / (c_1 + c_mu)
         c_1 *= shrink
         c_mu *= shrink
-    return HyperVector(c_1=c_1, c_mu=c_mu, c_c=c_c)
+    return c_1, c_mu, c_c
 
 
 def descending_ranks(values) -> np.ndarray:
-    """rank[i] = 1-based position of values[i] in a stable descending sort.
+    """rank[..., i] = 1-based position of values[..., i] in a stable
+    descending sort along the last axis.
 
     The largest value gets rank 1; ties are broken by lower index first.
     """
     values = np.asarray(values, dtype=float)
-    order = np.argsort(-values, kind="stable")
-    ranks = np.empty(values.shape[0], dtype=np.int64)
-    ranks[order] = np.arange(1, values.shape[0] + 1)
+    order = np.argsort(-values, axis=-1, kind="stable")
+    ranks = np.empty(values.shape, dtype=np.int64)
+    np.put_along_axis(ranks, order, np.arange(1, values.shape[-1] + 1), axis=-1)
     return ranks
 
 
 def h_objective(
-    candidate: HyperVector,
+    triples,
     prev_state: CmaState,
     state: CmaState,
     pop_new: EvaluatedPopulation,
     mu_sel: int,
-) -> float:
-    """Rank-agreement score of a candidate learning-rate triple.
+) -> np.ndarray:
+    """Rank-agreement scores of a (k, 3) array of learning-rate triples.
 
-    Recomputes the covariance half of the update `prev_state` -> `state`
-    under the candidate rates, from the rate-free terms recorded on `state`.
-    Then ranks `pop_new` by Mahalanobis distance from `state.mean` under
-    that covariance (largest distance = rank 1, so likelier points get
-    larger rank numbers) and returns the mean rank of the mu_sel
-    best-by-fitness candidates. Larger is better; the maximum is attained
-    when the fitness winners are exactly the likeliest points. Infeasible
-    triples score minus their constraint penalty.
+    For each feasible triple, recomputes the covariance half of the update
+    `prev_state` -> `state` under its rates, from the rate-free terms
+    recorded on `state`, all triples in one stacked computation. Then ranks
+    `pop_new` by Mahalanobis distance from `state.mean` under that
+    covariance (largest distance = rank 1, so likelier points get larger
+    rank numbers) and scores the mean rank of the mu_sel best-by-fitness
+    candidates. Larger is better; the maximum is attained when the fitness
+    winners are exactly the likeliest points. Infeasible triples score
+    minus their constraint penalty. Returns the (k,) scores.
+
+    Raises:
+        NonPositiveDefinite: if any feasible triple's covariance is
+            degenerate.
     """
+    triples = np.asarray(triples, dtype=float)
+    if triples.ndim != 2 or triples.shape[1] != AUX_DIM:
+        raise DimensionMismatch(f"expected shape (k, {AUX_DIM}), got {triples.shape}")
     if not 1 <= mu_sel <= pop_new.lam:
         raise DimensionMismatch(f"mu_sel={mu_sel} must lie in [1, {pop_new.lam}]")
-    if not candidate.is_feasible():
-        return -penalty(candidate)
-    _, cov = core.covariance_update(
-        prev_state, state.terms, candidate.c_1, candidate.c_mu, candidate.c_c
-    )
+    scores = -penalty(triples)
+    feasible = is_feasible(triples)
+    if not feasible.any():
+        return scores
+    c_1, c_mu, c_c = triples[feasible].T
+    _, cov = core.covariance_update(prev_state, state.terms, c_1, c_mu, c_c)
     inv_sqrt_c = linalg.inv_sqrt(linalg.sym_eigen(cov))
     distances = linalg.mahalanobis(pop_new.candidates, state.mean, inv_sqrt_c)
-    ranks = descending_ranks(distances)
     top = pop_new.order[:mu_sel]
-    return float(np.sum(ranks[top] * (1.0 / mu_sel)))
+    # one 1-D sum per triple: a 2-D sum over axis 1 adds in another order
+    scores[feasible] = [
+        np.sum(ranks[top] * (1.0 / mu_sel)) for ranks in descending_ranks(distances)
+    ]
+    return scores
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,9 +142,9 @@ class RateSearch:
     rng: RngStream
 
     @property
-    def rates(self) -> HyperVector:
-        """The auxiliary mean, decoded and projected: the rates to inject."""
-        return project_feasible(decode(self.aux.mean))
+    def rates(self) -> tuple[float, float, float]:
+        """The auxiliary mean, decoded and projected: (c_1, c_mu, c_c) to inject."""
+        return project_feasible(*decode(self.aux.mean))
 
 
 def init_search(
@@ -164,16 +168,16 @@ def self_step(
 ) -> RateSearch:
     """One auxiliary generation after the primary went `state` -> `advanced`.
 
-    Scores lambda_h candidate rate triples on the covariance half of the
-    update `prev_state` -> `state` under each triple, ranking
-    `advanced.last_pop`, and advances the auxiliary one generation on minus
-    that score. The primary is not touched; its next rates are the returned
-    `rates`.
+    Samples lambda_h unit-box points, scores their decoded rate triples in
+    one `h_objective` call on the covariance half of the update
+    `prev_state` -> `state`, ranking `advanced.last_pop`, and updates the
+    auxiliary on minus those scores. The primary is not touched; its next
+    rates are the returned `rates`.
     """
-    pop_new = advanced.last_pop
-
-    def aux_objective(u):
-        return -h_objective(decode(u), prev_state, state, pop_new, search.mu_sel)
-
-    aux = core.generation(aux_objective, search.aux, search.rng)
+    u = core.sample_population(search.aux, search.rng)
+    scores = h_objective(
+        decode(u), prev_state, state, advanced.last_pop, search.mu_sel
+    )
+    pop = EvaluatedPopulation.from_fitness(u, -scores)
+    aux = core.update_distribution(search.aux, pop)
     return dataclasses.replace(search, aux=aux)

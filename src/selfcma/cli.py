@@ -131,8 +131,10 @@ def _cmd_compare(args) -> int:
 def _cmd_rates(args) -> int:
     for directory in map(Path, args.in_dirs):
         logs = harness.load_run_logs(directory)
-        text = (directory / harness.CONFIG_NAME).read_text()
-        cfg = _experiment_config(harness.parse_config_text(text))
+        path = directory / harness.CONFIG_NAME
+        if not path.is_file():
+            raise ConfigError(f"{path} not found")
+        cfg = _experiment_config(harness.parse_config_text(path.read_text()))
         defaults = core.default_params(cfg.dim, cfg.lam)
         print(f"{directory}  ({cfg.problem} dim={cfg.dim} mode={cfg.mode},"
               f" {len(logs)} runs)")

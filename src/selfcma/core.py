@@ -8,7 +8,7 @@ which is what the hyper-parameter adaptation layer scores.
 """
 from __future__ import annotations
 
-import dataclasses
+import copy
 import math
 from dataclasses import dataclass
 
@@ -95,20 +95,28 @@ class StrategyParams:
             raise ValueError(f"c_sigma must lie in (0, 1], got {self.c_sigma}")
         if not self.d_sigma > 0.0:
             raise ValueError(f"d_sigma must be > 0, got {self.d_sigma}")
-        if not 0.0 <= self.c_c <= 1.0:
-            raise ValueError(f"c_c must lie in [0, 1], got {self.c_c}")
-        if self.c_1 < 0.0 or self.c_mu < 0.0:
-            raise ValueError("c_1 and c_mu must be >= 0")
-        if self.c_1 + self.c_mu > 1.0:
-            raise ValueError(
-                f"c_1 + c_mu must be <= 1, got {self.c_1 + self.c_mu}"
-            )
+        _check_cov_rates(self.c_1, self.c_mu, self.c_c)
 
     def with_cov_rates(self, c_1: float, c_mu: float, c_c: float) -> "StrategyParams":
-        """Copy of these parameters with the three covariance rates replaced."""
-        return dataclasses.replace(
-            self, c_1=float(c_1), c_mu=float(c_mu), c_c=float(c_c)
-        )
+        """Copy of these parameters with the three covariance rates replaced.
+
+        Only the new rates are checked; the other fields were checked when
+        these parameters were built.
+        """
+        rates = {"c_1": float(c_1), "c_mu": float(c_mu), "c_c": float(c_c)}
+        _check_cov_rates(**rates)
+        copied = copy.copy(self)
+        copied.__dict__.update(rates)
+        return copied
+
+
+def _check_cov_rates(c_1: float, c_mu: float, c_c: float) -> None:
+    if not 0.0 <= c_c <= 1.0:
+        raise ValueError(f"c_c must lie in [0, 1], got {c_c}")
+    if c_1 < 0.0 or c_mu < 0.0:
+        raise ValueError("c_1 and c_mu must be >= 0")
+    if c_1 + c_mu > 1.0:
+        raise ValueError(f"c_1 + c_mu must be <= 1, got {c_1 + c_mu}")
 
 
 def default_weights(mu: int) -> np.ndarray:
@@ -270,19 +278,35 @@ def sample_population(state: CmaState, rng: RngStream) -> np.ndarray:
 
 
 def covariance_update(
-    state: CmaState, terms: UpdateTerms, c_1: float, c_mu: float, c_c: float
+    state: CmaState, terms: UpdateTerms, c_1, c_mu, c_c
 ) -> tuple[np.ndarray, np.ndarray]:
     """(path_c, raw unsymmetrized C) of the rank-one plus rank-mu update of
-    the pre-update `state` with the rates (c_1, c_mu, c_c)."""
-    path_c = (1.0 - c_c) * state.path_c + terms.h_sigma * math.sqrt(
+    the pre-update `state` with the rates (c_1, c_mu, c_c).
+
+    The rates are floats, giving an (n,) path and an (n, n) matrix, or (k,)
+    arrays, giving a (k, n) and a (k, n, n) stack with one entry per rate
+    triple. Both take the same elementwise operations in the same order, so
+    each stacked entry has the bits of a call with that triple's floats.
+    """
+    c_c = _per_triple(c_c, 1)
+    path_c = (1.0 - c_c) * state.path_c + terms.h_sigma * np.sqrt(
         c_c * (2.0 - c_c)
     ) * math.sqrt(state.params.mu_w) * terms.step
+    c_1, c_mu = _per_triple(c_1, 2), _per_triple(c_mu, 2)
     cov = (
         (1.0 - c_1 - c_mu) * state.cov
-        + c_1 * np.outer(path_c, path_c)
+        + c_1 * (path_c[..., :, None] * path_c[..., None, :])
         + c_mu * terms.rank_mu
     )
     return path_c, cov
+
+
+def _per_triple(rate, axes: int):
+    """A float rate as it is; a (k,) array of rates with `axes` unit axes
+    appended, so entry i scales row i of a (k, ...) stack."""
+    if not getattr(rate, "ndim", 0):
+        return rate
+    return np.reshape(rate, (-1,) + (1,) * axes)
 
 
 def update_distribution(state: CmaState, pop: EvaluatedPopulation) -> CmaState:

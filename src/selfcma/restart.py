@@ -222,8 +222,7 @@ def segment_states(objective, params, mean0, sigma0, seg_rng, search=None):
 
 
 def _with_rates(params: StrategyParams, search: adapt.RateSearch) -> StrategyParams:
-    rates = search.rates
-    return params.with_cov_rates(rates.c_1, rates.c_mu, rates.c_c)
+    return params.with_cov_rates(*search.rates)
 
 
 def ipop_run(

@@ -5,18 +5,22 @@ agreement score) to independent straight-line oracles. Criterion 3 covers
 the invariance properties the design leans on. Criterion 4 is a baseline
 convergence check, 5-7 are behavioral claims about the adapted learning
 rates measured on a shared benchmark protocol, and 8 is byte-level
-determinism of the command line.
+determinism of the command line. The protocol grid's bytes, and those of
+one short restarting run, are pinned to recorded digests.
 
 The shared protocol (criteria 5-7) runs every problem in both modes once
 per session: dimension 10, population 100, 15 runs, seed 42, budget
 300000, target 1e-8.
 """
 import dataclasses
+import hashlib
 import itertools
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,27 +47,77 @@ RATIO_CAPS = (
 )
 
 
+# sha256 of each protocol cell's CSVs (see _csv_digest), and of the short
+# restarting run's two modes, as recorded on PINNED_ON. A change that moves
+# output on purpose updates them and says why.
+PINNED_ON = "numpy 2.4.6, scipy-openblas 0.3.31.188.0"
+PROTOCOL_DIGESTS = {
+    ("sphere", "plain"):
+        "1264adb6ea4b0704ed6ebb1fc7ee5cdda3593bcdf945dc2b72da45d6869f066f",
+    ("sphere", "self_adaptive"):
+        "78d2d59dd53d854e88a61215c8a0f73ad2aa4b7b2b0fa38578dddacdd4034fbe",
+    ("rosenbrock", "plain"):
+        "d65509b7a65b237d1dd184544109bad4a931ed55658e9d3c1452f907a92077d6",
+    ("rosenbrock", "self_adaptive"):
+        "ac2672168e9734c3ea49c161145dfaab9f3844a7172ee01ab0ce91674a9e2ad3",
+    ("ellipsoid", "plain"):
+        "34a9aa066439976dfce37e0c31ffa25e1e4f7e23088042a22151718b07e72d06",
+    ("ellipsoid", "self_adaptive"):
+        "8c601dbb270ac3b4a87d9efc6baf698b2002cc32cb76862599cb9c50581aba00",
+    ("sharpridge", "plain"):
+        "aae66fa5ebc8b9bb5b1481eeca944f88ddefc543b8e9ffecd07f0404519574a9",
+    ("sharpridge", "self_adaptive"):
+        "e0dbcea2b1f00ddcf418257ab0837f75965f906c86b52f3ef73048cce1d37674",
+}
+RESTART_DIGEST = "1313b400951150edbf79f4c622d820fc93fb9c35c1d7bbe44fd9730275e09e1a"
+
+
 @pytest.fixture(scope="session")
 def protocol_dirs(tmp_path_factory):
     base = tmp_path_factory.mktemp("protocol")
     dirs = {}
-    for problem in benchmarks.PROBLEM_NAMES:
-        for mode in harness.MODES:
-            out = base / f"{problem}_{mode}"
-            cfg = harness.ExperimentConfig(
-                problem=problem,
-                dim=PROTOCOL_DIM,
-                mode=mode,
-                out_dir=str(out),
-                lam=PROTOCOL_LAM,
-                runs=PROTOCOL_RUNS,
-                seed=PROTOCOL_SEED,
-                budget=PROTOCOL_BUDGET,
-                target=PROTOCOL_TARGET,
-            )
-            harness.run_experiment(cfg)
-            dirs[problem, mode] = out
+    with pytest.MonkeyPatch.context() as patch:
+        # whole runs go to worker processes; the output bytes cannot tell
+        patch.setenv(harness.THREADS_ENV, str(os.cpu_count() or 1))
+        for problem in benchmarks.PROBLEM_NAMES:
+            for mode in harness.MODES:
+                out = base / f"{problem}_{mode}"
+                cfg = harness.ExperimentConfig(
+                    problem=problem,
+                    dim=PROTOCOL_DIM,
+                    mode=mode,
+                    out_dir=str(out),
+                    lam=PROTOCOL_LAM,
+                    runs=PROTOCOL_RUNS,
+                    seed=PROTOCOL_SEED,
+                    budget=PROTOCOL_BUDGET,
+                    target=PROTOCOL_TARGET,
+                )
+                harness.run_experiment(cfg)
+                dirs[problem, mode] = out
     return dirs
+
+
+def _csv_digest(*directories) -> str:
+    """sha256 over each directory's sorted CSVs, name bytes then file bytes."""
+    digest = hashlib.sha256()
+    for directory in directories:
+        for path in sorted(Path(directory).glob("*.csv")):
+            digest.update(path.name.encode())
+            digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+def _moved(names) -> str:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        build = f"{blas['name']} {blas.get('version', '')}".rstrip()
+    except (TypeError, KeyError):  # numpy before 1.26 has no dict mode
+        build = "an unknown BLAS"
+    return (
+        f"output bytes moved in {', '.join(names)}; the digests were recorded"
+        f" on {PINNED_ON}, this is numpy {np.__version__}, {build}"
+    )
 
 
 def _assert_states_identical(a, b):
@@ -113,28 +167,33 @@ def test_criterion_2_rank_agreement_matches_brute_force():
         pop_new = make_random_pop(updated, seed=50_000 + i)
         rng = sc.RngStream(60_000 + i)
         mu_sel = rng.integers(1, lam + 1)
-        # raw draws cross the constraint boundary, so both branches run
-        triple = adapt.HyperVector(*rng.uniform_vector(-0.2, 0.7, 3))
-        got = adapt.h_objective(triple, state, updated, pop_new, mu_sel)
-        want = reference_h(
-            (triple.c_1, triple.c_mu, triple.c_c),
-            state_as_dict(state),
-            pop_used.candidates,
-            pop_used.fitness,
-            pop_new.candidates,
-            pop_new.fitness,
-            [1.0 / mu_sel] * mu_sel,
-        )
-        assert got == want, f"instance {i}: {got!r} != {want!r}"
-        if triple.is_feasible():
-            h_min = (mu_sel + 1) / 2
-            h_max = sum(lam - j + 1 for j in range(1, mu_sel + 1)) / mu_sel
-            # the weighted rank sum can round an ulp past an exactly
-            # attained bound, so cushion by a few eps
-            slack = 8 * np.finfo(float).eps * lam
-            assert h_min - slack <= got <= h_max + slack, (
-                f"instance {i}: {got!r} outside [{h_min}, {h_max}]"
+        # raw draws cross the constraint boundary, so both branches run;
+        # the three triples are scored as one stack
+        triples = np.stack([rng.uniform_vector(-0.2, 0.7, 3) for _ in range(3)])
+        scores = adapt.h_objective(triples, state, updated, pop_new, mu_sel)
+        assert scores.shape == (3,), i
+        for triple, got, feasible in zip(
+            triples, scores, adapt.is_feasible(triples)
+        ):
+            want = reference_h(
+                triple,
+                state_as_dict(state),
+                pop_used.candidates,
+                pop_used.fitness,
+                pop_new.candidates,
+                pop_new.fitness,
+                [1.0 / mu_sel] * mu_sel,
             )
+            assert got == want, f"instance {i}: {got!r} != {want!r}"
+            if feasible:
+                h_min = (mu_sel + 1) / 2
+                h_max = sum(lam - j + 1 for j in range(1, mu_sel + 1)) / mu_sel
+                # the weighted rank sum can round an ulp past an exactly
+                # attained bound, so cushion by a few eps
+                slack = 8 * np.finfo(float).eps * lam
+                assert h_min - slack <= got <= h_max + slack, (
+                    f"instance {i}: {got!r} outside [{h_min}, {h_max}]"
+                )
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"oracle sweep took {elapsed:.2f}s"
 
@@ -184,10 +243,12 @@ def test_criterion_3_invariance_suite():
         pop_used = make_random_pop(state, seed=71_000 + i)
         updated = sc.update_distribution(state, pop_used)
         pop_new = make_random_pop(updated, seed=72_000 + i)
-        triple = adapt.project_feasible(
-            adapt.HyperVector(*sc.RngStream(73_000 + i).uniform_vector(0.0, 0.6, 3))
-        )
-        base = adapt.h_objective(triple, state, updated, pop_new, 4)
+        triple = [
+            adapt.project_feasible(
+                *sc.RngStream(73_000 + i).uniform_vector(0.0, 0.6, 3)
+            )
+        ]
+        (base,) = adapt.h_objective(triple, state, updated, pop_new, 4)
         for s in (0.01, 100.0):
             root = math.sqrt(s)
             cov = linalg.symmetrize(state.cov * s)
@@ -198,7 +259,7 @@ def test_criterion_3_invariance_suite():
                 sigma=state.sigma / root,
                 path_c=state.path_c * root,
             )
-            got = adapt.h_objective(
+            (got,) = adapt.h_objective(
                 triple, scaled, sc.update_distribution(scaled, pop_used), pop_new, 4
             )
             assert got == base, f"instance {i}, scale {s}: {got!r} != {base!r}"
@@ -298,6 +359,43 @@ def test_criterion_7_noninferior_with_sharpridge_speedup(protocol_dirs):
         + f"; sharp ridge speed-up (plain/self) = {1.0 / ratios['sharpridge']:.3f}"
     )
     assert not failures, "; ".join(failures)
+
+
+def test_protocol_grid_bytes_are_pinned(protocol_dirs):
+    moved = [
+        f"{problem}/{mode}"
+        for problem in benchmarks.PROBLEM_NAMES
+        for mode in harness.MODES
+        if _csv_digest(protocol_dirs[problem, mode])
+        != PROTOCOL_DIGESTS[problem, mode]
+    ]
+    assert not moved, _moved(moved)
+
+
+def test_restarting_run_bytes_are_pinned(tmp_path):
+    # a target below the minimum is never hit: each segment ends on a
+    # restart criterion until the budget ends the run
+    start = time.perf_counter()
+    dirs = []
+    for mode in harness.MODES:
+        cfg = harness.ExperimentConfig(
+            problem="sphere",
+            dim=4,
+            mode=mode,
+            out_dir=str(tmp_path / mode),
+            lam=8,
+            runs=1,
+            seed=1,
+            budget=4000,
+            target=-1.0,
+        )
+        (report,) = harness.run_experiment(cfg)
+        assert report.restarts >= 2, (mode, report.stop_reasons)
+        assert report.final_reason is not restart.StopReason.TARGET_HIT, mode
+        dirs.append(cfg.out_dir)
+    assert _csv_digest(*dirs) == RESTART_DIGEST, _moved(["sphere restart run"])
+    elapsed = time.perf_counter() - start
+    assert elapsed < 2.0, f"two restarting runs took {elapsed:.2f}s"
 
 
 def test_criterion_8_cli_reruns_byte_identical(tmp_path):

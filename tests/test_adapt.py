@@ -11,7 +11,7 @@ import selfcma as sc
 from conftest import make_random_pop, make_random_state, state_as_dict
 from reference_impl import reference_h
 from selfcma import adapt, core, linalg, restart
-from selfcma.errors import DimensionMismatch
+from selfcma.errors import DimensionMismatch, NonPositiveDefinite
 
 triples = st.tuples(
     st.floats(-0.5, 1.4),
@@ -23,47 +23,71 @@ triples = st.tuples(
 @given(u=st.tuples(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1)))
 @settings(max_examples=80, deadline=None)
 def test_decode_maps_unit_box_to_rate_box(u):
-    h = adapt.decode(np.array(u))
-    assert 0.0 <= h.c_1 <= adapt.BOX_HIGH
-    assert 0.0 <= h.c_mu <= adapt.BOX_HIGH
-    assert 0.0 <= h.c_c <= adapt.BOX_HIGH
-    np.testing.assert_array_equal([h.c_1, h.c_mu, h.c_c], np.array(u) * adapt.BOX_HIGH)
+    c_1, c_mu, c_c = adapt.decode(np.array(u))
+    assert 0.0 <= c_1 <= adapt.BOX_HIGH
+    assert 0.0 <= c_mu <= adapt.BOX_HIGH
+    assert 0.0 <= c_c <= adapt.BOX_HIGH
+    np.testing.assert_array_equal([c_1, c_mu, c_c], np.array(u) * adapt.BOX_HIGH)
+    # a stack decodes row by row
+    np.testing.assert_array_equal(
+        adapt.decode(np.array([u, u])), [[c_1, c_mu, c_c]] * 2
+    )
 
 
-@given(t=triples)
+@given(t=st.lists(triples, min_size=1, max_size=6))
 @settings(max_examples=100, deadline=None)
 def test_penalty_positive_iff_infeasible(t):
-    h = adapt.HyperVector(*t)
-    if h.is_feasible():
-        assert adapt.penalty(h) == 0.0
-    else:
-        assert adapt.penalty(h) > 0.0
+    h = np.array(t)
+    feasible = adapt.is_feasible(h)
+    penalty = adapt.penalty(h)
+    assert feasible.shape == penalty.shape == (len(t),)
+    for (c_1, c_mu, c_c), ok, v in zip(t, feasible, penalty):
+        assert ok == (
+            0.0 <= c_1 <= adapt.BOX_HIGH
+            and 0.0 <= c_mu <= adapt.BOX_HIGH
+            and 0.0 <= c_c <= adapt.BOX_HIGH
+            and c_1 + c_mu <= adapt.BOX_HIGH
+        )
+        if ok:
+            assert v == 0.0
+        else:
+            assert v > 0.0
+
+
+@given(t=st.lists(triples, min_size=1, max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_penalty_rows_are_the_scalar_left_to_right_sum(t):
+    for (c_1, c_mu, c_c), got in zip(t, adapt.penalty(np.array(t))):
+        v = 0.0
+        for c in (c_1, c_mu, c_c):
+            v += max(0.0, -c) + max(0.0, c - adapt.BOX_HIGH)
+        v += max(0.0, c_1 + c_mu - adapt.BOX_HIGH)
+        assert got == adapt.PENALTY_SCALE * v
 
 
 @given(t=triples)
 @settings(max_examples=100, deadline=None)
 def test_projection_lands_in_feasible_set(t):
-    proj = adapt.project_feasible(adapt.HyperVector(*t))
-    assert proj.is_feasible()
-    assert adapt.penalty(proj) == 0.0
+    proj = adapt.project_feasible(*t)
+    assert adapt.is_feasible([proj])[0]
+    assert adapt.penalty([proj])[0] == 0.0
 
 
 def test_projection_is_identity_on_feasible():
-    h = adapt.HyperVector(0.1, 0.3, 0.8)
-    assert adapt.project_feasible(h) == h
+    assert adapt.project_feasible(0.1, 0.3, 0.8) == (0.1, 0.3, 0.8)
 
 
 def test_projection_shrinks_joint_sum():
-    proj = adapt.project_feasible(adapt.HyperVector(0.8, 0.7, 0.2))
-    assert proj.c_1 + proj.c_mu == pytest.approx(0.9, abs=1e-15)
+    c_1, c_mu, _ = adapt.project_feasible(0.8, 0.7, 0.2)
+    assert c_1 + c_mu == pytest.approx(0.9, abs=1e-15)
     # proportions preserved: 0.8 / 0.7 ratio survives the shrink
-    assert proj.c_1 / proj.c_mu == pytest.approx(0.8 / 0.7, rel=1e-12)
+    assert c_1 / c_mu == pytest.approx(0.8 / 0.7, rel=1e-12)
 
 
 def test_penalty_known_value():
     # c_mu alone violates by 0.1; the joint cap is violated by 0.4
-    h = adapt.HyperVector(0.3, 1.0, 0.5)
-    assert adapt.penalty(h) == pytest.approx(1e9 * (0.1 + 0.4), rel=1e-12)
+    (v,) = adapt.penalty([[0.3, 1.0, 0.5]])
+    assert v == pytest.approx(1e9 * (0.1 + 0.4), rel=1e-12)
 
 
 def test_descending_ranks_worked_example():
@@ -92,8 +116,8 @@ def test_h_objective_worked_example():
     )
     pop_new = core.EvaluatedPopulation.from_fitness(cands, [1.0, 2.0, 3.0, 4.0])
 
-    rates = adapt.HyperVector(state.params.c_1, state.params.c_mu, state.params.c_c)
-    h = adapt.h_objective(rates, state, updated, pop_new, 2)
+    rates = [[state.params.c_1, state.params.c_mu, state.params.c_c]]
+    (h,) = adapt.h_objective(rates, state, updated, pop_new, 2)
     assert h == pytest.approx(3.0, abs=1e-12)
 
 
@@ -107,21 +131,21 @@ def test_h_objective_bounds_and_extremes():
     cands = np.stack(
         [updated.mean + d * (spread @ np.array([1.0, 0.0])) for d in (0.5, 1, 2, 3)]
     )
-    rates = adapt.HyperVector(state.params.c_1, state.params.c_mu, state.params.c_c)
+    rates = [[state.params.c_1, state.params.c_mu, state.params.c_c]]
 
     best_case = core.EvaluatedPopulation.from_fitness(cands, [1.0, 2.0, 3.0, 4.0])
-    assert adapt.h_objective(rates, state, updated, best_case, 2) == 3.5
+    assert adapt.h_objective(rates, state, updated, best_case, 2) == [3.5]
 
     worst_case = core.EvaluatedPopulation.from_fitness(cands, [4.0, 3.0, 2.0, 1.0])
-    assert adapt.h_objective(rates, state, updated, worst_case, 2) == 1.5
+    assert adapt.h_objective(rates, state, updated, worst_case, 2) == [1.5]
 
 
 def test_h_objective_penalizes_infeasible_without_replay():
     state = make_random_state(seed=320, n=2, lam=4)
     pop = make_random_pop(state, seed=321)
-    bad = adapt.HyperVector(0.6, 0.6, 0.2)  # joint sum 1.2 > 0.9
-    got = adapt.h_objective(bad, state, state, pop, 2)
-    assert got == -adapt.penalty(bad)
+    bad = [[0.6, 0.6, 0.2]]  # joint sum 1.2 > 0.9
+    (got,) = adapt.h_objective(bad, state, state, pop, 2)
+    assert got == -adapt.penalty(bad)[0]
     assert got <= -1e9 * 0.29
 
 
@@ -132,12 +156,10 @@ def test_h_objective_matches_brute_force():
         updated = sc.update_distribution(state, pop_used)
         pop_new = make_random_pop(updated, seed=600 + seed)
         rng = sc.RngStream(700 + seed)
-        triple = adapt.project_feasible(
-            adapt.HyperVector(*rng.uniform_vector(0.0, 0.6, 3))
-        )
-        got = adapt.h_objective(triple, state, updated, pop_new, 4)
+        triple = adapt.project_feasible(*rng.uniform_vector(0.0, 0.6, 3))
+        (got,) = adapt.h_objective([triple], state, updated, pop_new, 4)
         want = reference_h(
-            (triple.c_1, triple.c_mu, triple.c_c),
+            triple,
             state_as_dict(state),
             pop_used.candidates,
             pop_used.fitness,
@@ -153,9 +175,26 @@ def test_h_objective_mu_sel_too_large():
     pop = make_random_pop(state, seed=411)
     for mu_sel in (5, 0):  # the score averages 1 to lam ranks
         with pytest.raises(DimensionMismatch):
-            adapt.h_objective(
-                adapt.HyperVector(0.1, 0.1, 0.1), state, state, pop, mu_sel
-            )
+            adapt.h_objective([[0.1, 0.1, 0.1]], state, state, pop, mu_sel)
+
+
+def test_h_objective_degenerate_candidate_raises():
+    # a collapsed old covariance that only a rank-mu term fills back in:
+    # the candidate with c_mu = 0 keeps it degenerate, and that one
+    # feasible candidate ends the stacked call, as it ends the run
+    state = make_random_state(seed=460, n=2, lam=4)
+    pop_used = make_random_pop(state, seed=461)
+    updated = sc.update_distribution(state, pop_used)
+    collapsed = dataclasses.replace(
+        state, cov=np.diag([1.0, 1e-30]), path_c=np.zeros(2)
+    )
+    pop_new = make_random_pop(updated, seed=462)
+    healthy = [[0.1, 0.3, 0.5], [0.2, 0.2, 0.2]]
+    scores = adapt.h_objective(healthy, collapsed, updated, pop_new, 2)
+    assert np.all(scores >= 1.5)
+    stack = healthy[:1] + [[0.0, 0.0, 0.5]] + healthy[1:]
+    with pytest.raises(NonPositiveDefinite, match="matrix 1 of the stack"):
+        adapt.h_objective(stack, collapsed, updated, pop_new, 2)
 
 
 def _sphere(x):
@@ -172,7 +211,7 @@ def _states(objective, params, mean0, sigma0, seed, search, gens):
 
 def _replayed_score(h, prev_state, pop_used, pop_new, mu_sel):
     """The score from a full update of `prev_state` under the rates `h`."""
-    params = prev_state.params.with_cov_rates(h.c_1, h.c_mu, h.c_c)
+    params = prev_state.params.with_cov_rates(*h)
     replayed = sc.update_distribution(
         dataclasses.replace(prev_state, params=params), pop_used
     )
@@ -195,19 +234,20 @@ def test_h_objective_matches_the_full_update_on_a_real_segment():
     for prev_state, state, advanced in zip(states, states[1:], states[2:]):
         stalled += state.terms.h_sigma == 0.0
         used = prev_state.params  # the rates of the primary's own update
-        triples = [adapt.HyperVector(used.c_1, used.c_mu, used.c_c)]
-        triples += [
-            adapt.HyperVector(*rng.uniform_vector(-0.1, 0.95, 3)) for _ in range(6)
-        ]
-        for h in triples:
-            got = adapt.h_objective(h, prev_state, state, advanced.last_pop, mu_sel)
-            if h.is_feasible():
+        triples = [[used.c_1, used.c_mu, used.c_c]]
+        triples += [rng.uniform_vector(-0.1, 0.95, 3) for _ in range(6)]
+        triples = np.array(triples)
+        scores = adapt.h_objective(
+            triples, prev_state, state, advanced.last_pop, mu_sel
+        )
+        for h, got, ok in zip(triples, scores, adapt.is_feasible(triples)):
+            if ok:
                 feasible += 1
                 want = _replayed_score(
                     h, prev_state, state.last_pop, advanced.last_pop, mu_sel
                 )
             else:
-                want = -adapt.penalty(h)
+                want = -adapt.penalty([h])[0]
             assert got == want, (state.gen, h)
     assert 0 < feasible < 38 * 7
     assert stalled > 0
@@ -224,7 +264,7 @@ def test_init_search_starts_from_its_own_stream():
         search.aux.mean, sc.RngStream(30).child(1).uniform_vector(0.0, 1.0, 3)
     )
     # the rates it exposes are the decoded, projected auxiliary mean
-    assert search.rates == adapt.project_feasible(adapt.decode(search.aux.mean))
+    assert search.rates == adapt.project_feasible(*adapt.decode(search.aux.mean))
 
 
 def test_self_step_scores_the_replay_and_steps_only_the_auxiliary():
@@ -244,9 +284,10 @@ def test_self_step_scores_the_replay_and_steps_only_the_auxiliary():
     # the auxiliary minimizes minus the score of the update start -> state,
     # ranked on the newest population
     def minus_score(u):
-        return -adapt.h_objective(
-            adapt.decode(u), start, state, advanced.last_pop, search.mu_sel
+        (score,) = adapt.h_objective(
+            adapt.decode([u]), start, state, advanced.last_pop, search.mu_sel
         )
+        return -score
 
     fresh = adapt.init_search(8, sc.RngStream(31).child(1))
     want = core.generation(minus_score, fresh.aux, fresh.rng)
@@ -263,9 +304,8 @@ def test_segment_loop_injects_the_search_rates():
         # the first generation runs on the initial rates; each later one
         # steps the search once and injects its new rates
         assert stepped.aux.gen == gen - 1
-        rates = stepped.rates
         p = state.params
-        assert (p.c_1, p.c_mu, p.c_c) == (rates.c_1, rates.c_mu, rates.c_c)
+        assert (p.c_1, p.c_mu, p.c_c) == stepped.rates
     assert pairs[0][1] is search
 
 
@@ -282,7 +322,7 @@ def test_frozen_auxiliary_reduces_to_plain_cmaes():
     )
     frozen_mean = search.aux.mean.copy()
     pinned = search.rates
-    pinned_params = params.with_cov_rates(pinned.c_1, pinned.c_mu, pinned.c_c)
+    pinned_params = params.with_cov_rates(*pinned)
 
     adaptive = _states(_sphere, params, mean0, 1.0, 32, search, 12)
     fixed = _states(_sphere, pinned_params, mean0, 1.0, 32, None, 12)
@@ -290,7 +330,7 @@ def test_frozen_auxiliary_reduces_to_plain_cmaes():
         assert none is None
         np.testing.assert_array_equal(stepped.aux.mean, frozen_mean)
         for p in (a.params, b.params):
-            assert (p.c_1, p.c_mu, p.c_c) == (pinned.c_1, pinned.c_mu, pinned.c_c)
+            assert (p.c_1, p.c_mu, p.c_c) == pinned
         np.testing.assert_array_equal(a.mean, b.mean)
         assert a.sigma == b.sigma
         np.testing.assert_array_equal(a.cov, b.cov)

@@ -221,7 +221,7 @@ def test_rates_summarizes_a_run(rates_dir, capsys):
     [
         ("unknown config key", 1, "sigma0: unknown config key"),
         ("no run logs", 2, "no run_*.csv files"),
-        ("no config file", 2, "config.txt"),
+        ("no config file", 1, "config.txt not found"),
         ("no dim line", 1, "dim: required (give a flag or config entry)"),
         ("lam=1", 1, "lam: must be >= 2, got 1"),
     ],

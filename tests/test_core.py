@@ -108,6 +108,38 @@ def test_with_cov_rates_replaces_only_rates():
     assert (q.c_1, q.c_mu, q.c_c) == (0.1, 0.2, 0.3)
     assert q.c_sigma == p.c_sigma and q.lam == p.lam
     np.testing.assert_array_equal(q.weights, p.weights)
+    assert (p.c_1, p.c_mu, p.c_c) != (0.1, 0.2, 0.3)  # p is not changed
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        q.c_1 = 0.5
+    # the replaced rates are still checked
+    for bad in ((0.1, 0.2, 1.5), (-0.1, 0.2, 0.3), (0.6, 0.5, 0.3)):
+        with pytest.raises(ValueError):
+            p.with_cov_rates(*bad)
+
+
+def test_covariance_update_stack_matches_float_calls():
+    state = make_random_state(seed=90, n=4, lam=8)
+    updated = sc.update_distribution(state, make_random_pop(state, seed=91))
+    rates = sc.RngStream(92).uniform_vector(0.0, 0.45, 3 * 7).reshape(7, 3)
+    for h_sigma in (updated.terms.h_sigma, 0.0):
+        terms = dataclasses.replace(updated.terms, h_sigma=h_sigma)
+        paths, covs = core.covariance_update(state, terms, *rates.T)
+        assert paths.shape == (7, 4) and covs.shape == (7, 4, 4)
+        for (c_1, c_mu, c_c), path, cov in zip(rates.tolist(), paths, covs):
+            # the update written out for one triple of floats
+            want_path = (1.0 - c_c) * state.path_c + terms.h_sigma * math.sqrt(
+                c_c * (2.0 - c_c)
+            ) * math.sqrt(state.params.mu_w) * terms.step
+            want_cov = (
+                (1.0 - c_1 - c_mu) * state.cov
+                + c_1 * np.outer(want_path, want_path)
+                + c_mu * terms.rank_mu
+            )
+            np.testing.assert_array_equal(path, want_path)
+            np.testing.assert_array_equal(cov, want_cov)
+            scalar = core.covariance_update(state, terms, c_1, c_mu, c_c)
+            np.testing.assert_array_equal(scalar[0], want_path)
+            np.testing.assert_array_equal(scalar[1], want_cov)
 
 
 def test_initial_state_shape_and_validation():

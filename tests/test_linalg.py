@@ -58,6 +58,54 @@ def test_sym_eigen_rejects_non_finite():
 def test_symmetrize_requires_square():
     with pytest.raises(DimensionMismatch):
         linalg.symmetrize(np.zeros((2, 3)))
+    with pytest.raises(DimensionMismatch):
+        linalg.symmetrize(np.zeros((4, 2, 3)))
+    with pytest.raises(DimensionMismatch):
+        linalg.symmetrize(np.zeros(3))
+
+
+def _random_covs(seed, k, n):
+    rng = sc.RngStream(seed)
+    covs = []
+    for _ in range(k):
+        basis = rng.random_rotation(n)
+        eigs = 10.0 ** rng.uniform_vector(-2, 2, n)
+        # an unsymmetrized update result: last-bit asymmetry included
+        covs.append((basis * eigs) @ basis.T)
+    return np.stack(covs)
+
+
+def test_stacked_routines_match_one_matrix_at_a_time():
+    covs = _random_covs(14, 6, 5)
+    xs = sc.RngStream(15).standard_normal_matrix(9, 5)
+    mean = sc.RngStream(16).uniform_vector(-1, 1, 5)
+    stacked = linalg.sym_eigen(covs)
+    assert stacked.basis.shape == (6, 5, 5)
+    assert stacked.eigenvalues.shape == (6, 5)
+    a_stack = linalg.inv_sqrt(stacked)
+    d_stack = linalg.mahalanobis(xs, mean, a_stack)
+    assert d_stack.shape == (6, 9)
+    np.testing.assert_array_equal(linalg.symmetrize(covs)[2], linalg.symmetrize(covs[2]))
+    for i, cov in enumerate(covs):
+        single = linalg.sym_eigen(cov)
+        np.testing.assert_array_equal(stacked.basis[i], single.basis)
+        np.testing.assert_array_equal(stacked.eigenvalues[i], single.eigenvalues)
+        a = linalg.inv_sqrt(single)
+        np.testing.assert_array_equal(a_stack[i], a)
+        np.testing.assert_array_equal(d_stack[i], linalg.mahalanobis(xs, mean, a))
+
+
+def test_sym_eigen_stack_names_the_degenerate_matrix():
+    covs = _random_covs(17, 4, 3)
+    covs[2] = np.diag([1.0, 1.0, 1e-25])
+    with pytest.raises(NonPositiveDefinite, match="matrix 2 of the stack"):
+        linalg.sym_eigen(covs)
+    covs[2] = -np.eye(3)
+    with pytest.raises(NonPositiveDefinite, match="matrix 2 of the stack"):
+        linalg.sym_eigen(covs)
+    covs[2, 0, 0] = np.nan
+    with pytest.raises(NonPositiveDefinite, match="non-finite"):
+        linalg.sym_eigen(covs)
 
 
 def test_mahalanobis_identity_is_euclidean():
