@@ -17,7 +17,7 @@ from . import errors
 from .benchmarks import make_problem
 from .core import default_params, initial_state, sample_population, update_distribution
 from .harness import ExperimentConfig, run_experiment
-from .restart import StopConfig, ipop_run
+from .restart import ipop_run
 from .rng import RngStream
 
 __version__ = "0.1.0"
@@ -25,7 +25,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ExperimentConfig",
     "RngStream",
-    "StopConfig",
     "default_params",
     "errors",
     "initial_state",

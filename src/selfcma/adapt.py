@@ -147,17 +147,15 @@ class RateSearch:
         return project_feasible(*decode(self.aux.mean))
 
 
-def init_search(
-    lam: int, rng: RngStream, lambda_h: int = DEFAULT_LAMBDA_H
-) -> RateSearch:
+def init_search(lam: int, rng: RngStream) -> RateSearch:
     """Rate search for a primary optimizer with population size `lam`.
 
     The auxiliary optimizer starts from a mean drawn uniformly in the unit
-    box from `rng` with step-size AUX_SIGMA0; its rates are the primary's
-    initial ones. The score averages the ranks of the best half of the
-    primary population.
+    box from `rng` with step-size AUX_SIGMA0 and population size
+    DEFAULT_LAMBDA_H; its rates are the primary's initial ones. The score
+    averages the ranks of the best half of the primary population.
     """
-    aux_params = core.default_params(AUX_DIM, lambda_h)
+    aux_params = core.default_params(AUX_DIM, DEFAULT_LAMBDA_H)
     aux_mean = rng.uniform_vector(0.0, 1.0, AUX_DIM)
     aux = core.initial_state(aux_params, aux_mean, AUX_SIGMA0)
     return RateSearch(aux=aux, mu_sel=max(1, lam // 2), rng=rng)
@@ -168,8 +166,8 @@ def self_step(
 ) -> RateSearch:
     """One auxiliary generation after the primary went `state` -> `advanced`.
 
-    Samples lambda_h unit-box points, scores their decoded rate triples in
-    one `h_objective` call on the covariance half of the update
+    Samples DEFAULT_LAMBDA_H unit-box points, scores their decoded rate
+    triples in one `h_objective` call on the covariance half of the update
     `prev_state` -> `state`, ranking `advanced.last_pop`, and updates the
     auxiliary on minus those scores. The primary is not touched; its next
     rates are the returned `rates`.

@@ -24,8 +24,9 @@ class DimensionMismatch(SelfCmaError, ValueError):
 class NonPositiveDefinite(SelfCmaError):
     """A covariance matrix lost positive definiteness.
 
-    The sampling distribution is degenerate at this point; callers are
-    expected to abort or restart rather than patch the matrix.
+    The sampling distribution is degenerate at this point. Nothing in the
+    library catches it or patches the matrix: it ends the run that raised
+    it, in both modes.
     """
 
 

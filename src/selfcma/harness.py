@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import benchmarks, restart
 from .errors import ConfigError, EmptyInput, MalformedLog
-from .restart import MODES, RestartReport, StopConfig
+from .restart import MODES, RestartReport
 from .rng import RngStream
 from .runlog import RunLog, format_float, lower_median
 
@@ -65,9 +65,6 @@ class ExperimentConfig:
             raise ConfigError(f"budget: must be >= 1, got {self.budget}")
         if not math.isfinite(self.target):
             raise ConfigError(f"target: must be finite, got {self.target}")
-
-    def stop_config(self) -> StopConfig:
-        return StopConfig(max_evals=self.budget, target_f=self.target)
 
     def to_text(self) -> str:
         """The config as flat key=value lines (one field per line)."""
@@ -126,7 +123,7 @@ def single_run(cfg: ExperimentConfig, index: int) -> RestartReport:
     run_rng = RngStream(cfg.seed).child(index)
     problem = benchmarks.make_problem(cfg.problem, cfg.dim, run_rng)
     return restart.ipop_run(
-        problem, cfg.dim, cfg.mode, cfg.lam, cfg.stop_config(), run_rng
+        problem, cfg.dim, cfg.mode, cfg.lam, cfg.budget, cfg.target, run_rng
     )
 
 

@@ -56,8 +56,8 @@ def sym_eigen(c: np.ndarray) -> EigenDecomp:
     Raises:
         NonPositiveDefinite: if any matrix has non-finite entries, a
             non-positive leading eigenvalue, or an eigenvalue spread beyond
-            EIGEN_FLOOR. The caller should treat this as a broken covariance
-            update, typically by restarting.
+            EIGEN_FLOOR. No caller catches it, so a degenerate covariance
+            ends the run.
     """
     c = symmetrize(c)
     if not np.isfinite(c).all():

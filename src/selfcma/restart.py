@@ -41,47 +41,25 @@ class StopReason(str, enum.Enum):
         return self in (StopReason.TARGET_HIT, StopReason.BUDGET_EXHAUSTED)
 
 
-@dataclass(frozen=True)
-class StopConfig:
-    """Stopping thresholds for a whole run.
-
-    tol_x defaults to 1e-12 times the initial step-size, 2e-12. A None
-    stagnation_gens means 100 + ceil(100 n / lam) generations, taken from
-    each segment's own population size. The function-history window is
-    always 10 + ceil(30 n / lam) generations.
-
-    max_evals is a soft budget: a run stops at the first generation whose
-    evaluation count reaches it, so it can pass it by up to lam - 1
-    evaluations of its last segment, and it never restarts after that.
-    """
-
-    max_evals: int
-    target_f: float
-    tol_hist_fun: float = 1e-12
-    tol_x: float = 1e-12 * core.INIT_SIGMA
-    max_cond: float = 1e14
-    stagnation_gens: int | None = None
-
-    def __post_init__(self):
-        if self.max_evals < 1:
-            raise ConfigError(f"max_evals: must be >= 1, got {self.max_evals}")
-        if not math.isfinite(self.target_f):
-            raise ConfigError(f"target_f: must be finite, got {self.target_f}")
-        if self.tol_hist_fun < 0:
-            raise ConfigError(f"tol_hist_fun: must be >= 0, got {self.tol_hist_fun}")
-        if self.tol_x <= 0:
-            raise ConfigError(f"tol_x: must be > 0, got {self.tol_x}")
-        if self.max_cond <= 1:
-            raise ConfigError(f"max_cond: must be > 1, got {self.max_cond}")
-        if self.stagnation_gens is not None and self.stagnation_gens < 1:
-            raise ConfigError(
-                f"stagnation_gens: must be >= 1, got {self.stagnation_gens}"
-            )
+# The restart rules, fixed at the IPOP-CMA-ES values (Auger & Hansen, CEC
+# 2005): a segment restarts when its best fitness over the last `hist_window`
+# generations spans at most TOL_HIST_FUN, when sigma times the square root of
+# C's largest eigenvalue falls to TOL_X (1e-12 of the initial step size), when
+# C's condition number passes MAX_COND, or after `stagnation_gens` generations
+# without a strict improvement.
+TOL_HIST_FUN = 1e-12
+TOL_X = 1e-12 * core.INIT_SIGMA
+MAX_COND = 1e14
 
 
 def hist_window(n: int, lam: int) -> int:
     """Length of the best-fitness history window for the flatness check."""
     return 10 + math.ceil(30.0 * n / lam)
+
+
+def stagnation_gens(n: int, lam: int) -> int:
+    """Generations without a strict improvement that end a segment."""
+    return 100 + math.ceil(100.0 * n / lam)
 
 
 class SegmentHistory:
@@ -110,41 +88,39 @@ class SegmentHistory:
 
 
 def check_stop(
-    state: CmaState, history: SegmentHistory, cfg: StopConfig
+    state: CmaState, history: SegmentHistory, budget: int, target: float
 ) -> StopReason | None:
     """First stopping criterion triggered by the segment so far, or None.
 
     `history` holds the current segment's per-generation best fitness, with
     a window of `hist_window(n, lam)`. The budget rule counts the run's
-    evaluations, `history.spent` plus this segment's. A None
-    `cfg.stagnation_gens` means 100 + ceil(100 n / lam) with this
-    segment's n and lam. Criteria are checked in a fixed priority order:
-    target, budget, then the criteria that restart (tol_hist_fun, tol_x,
-    condition_cov, stagnation), so a generation that spends the budget
-    never starts another segment.
+    evaluations, `history.spent` plus this segment's. Criteria are checked
+    in a fixed priority order: target, budget, then the criteria that
+    restart (TOL_HIST_FUN, TOL_X, MAX_COND, `stagnation_gens` with this
+    segment's n and lam), so a generation that spends the budget never
+    starts another segment.
     """
     if not history.recent:
         raise ValueError("history must contain at least one generation")
     p = state.params
 
-    if history.best <= cfg.target_f:
+    if history.best <= target:
         return StopReason.TARGET_HIT
 
-    if history.spent + state.gen * p.lam >= cfg.max_evals:
+    if history.spent + state.gen * p.lam >= budget:
         return StopReason.BUDGET_EXHAUSTED
 
     tail = history.recent
-    if len(tail) == tail.maxlen and max(tail) - min(tail) <= cfg.tol_hist_fun:
+    if len(tail) == tail.maxlen and max(tail) - min(tail) <= TOL_HIST_FUN:
         return StopReason.TOL_HIST_FUN
 
-    if state.sigma * math.sqrt(float(state.eigen.eigenvalues[-1])) <= cfg.tol_x:
+    if state.sigma * math.sqrt(float(state.eigen.eigenvalues[-1])) <= TOL_X:
         return StopReason.TOL_X
 
-    if state.eigen.condition() > cfg.max_cond:
+    if state.eigen.condition() > MAX_COND:
         return StopReason.CONDITION_COV
 
-    stagnation = cfg.stagnation_gens or 100 + math.ceil(100.0 * p.n / p.lam)
-    if history.since_best >= stagnation:
+    if history.since_best >= stagnation_gens(p.n, p.lam):
         return StopReason.STAGNATION
 
     return None
@@ -197,17 +173,18 @@ def _record(
     )
 
 
-def segment_states(objective, params, mean0, sigma0, seg_rng, search=None):
+def segment_states(objective, params, mean0, seg_rng, search=None):
     """Yield (state, search) after every generation of one segment, the first too.
 
-    The primary draws from child 0 of `seg_rng`. `search` is None for the
-    fixed rates of `params`, or an `adapt.RateSearch` whose rates start the
-    segment; from the second generation on, it is stepped on the update
-    before the newest one and its new rates are injected into the state.
+    The primary starts at `mean0` with step-size `core.INIT_SIGMA` and draws
+    from child 0 of `seg_rng`. `search` is None for the fixed rates of
+    `params`, or an `adapt.RateSearch` whose rates start the segment; from
+    the second generation on, it is stepped on the update before the newest
+    one and its new rates are injected into the state.
     """
     if search is not None:
         params = _with_rates(params, search)
-    state = core.initial_state(params, mean0, sigma0)
+    state = core.initial_state(params, mean0, core.INIT_SIGMA)
     step_rng = seg_rng.child(0)
     prev = None
     while True:
@@ -230,7 +207,8 @@ def ipop_run(
     n: int,
     mode: str,
     lambda0: int,
-    cfg: StopConfig,
+    budget: int,
+    target: float,
     rng: RngStream,
 ) -> RestartReport:
     """Optimize until the target or the budget is hit, doubling lambda per restart.
@@ -241,11 +219,19 @@ def ipop_run(
     primary optimizer consumes grandchild 0 (and the adaptive mode's
     auxiliary optimizer grandchild 1), so a plain run and a self-adaptive
     run with the same stream see identical primary sampling noise.
+
+    `budget` is soft: the run stops at the first generation whose
+    evaluation count reaches it, so it can pass it by up to lam - 1
+    evaluations of its last segment, and it never restarts after that.
     """
     if mode not in MODES:
         raise ConfigError(f"mode: expected one of {MODES}, got {mode!r}")
     if lambda0 < 2:
         raise ConfigError(f"lambda0: must be >= 2, got {lambda0}")
+    if budget < 1:
+        raise ConfigError(f"budget: must be >= 1, got {budget}")
+    if not math.isfinite(target):
+        raise ConfigError(f"target: must be finite, got {target}")
 
     records: list[GenRecord] = []
     lambdas: list[int] = []
@@ -261,12 +247,10 @@ def ipop_run(
         search = None if mode == "plain" else adapt.init_search(lam, seg_rng.child(1))
 
         history = SegmentHistory(hist_window(n, lam), spent)
-        for state, _ in segment_states(
-            objective, params, mean0, core.INIT_SIGMA, seg_rng, search
-        ):
+        for state, _ in segment_states(objective, params, mean0, seg_rng, search):
             best_ever = min(best_ever, state.last_pop.best_fitness)
             history.push(state.last_pop.best_fitness)
-            reason = check_stop(state, history, cfg)
+            reason = check_stop(state, history, budget, target)
             evals = spent + state.gen * lam
             records.append(_record(len(records) + 1, evals, best_ever, state, reason))
             if reason is not None:

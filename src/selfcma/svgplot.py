@@ -111,15 +111,19 @@ def emit_plot(log: RunLog, path, title: str = "") -> None:
     """Write one dual-axis SVG chart for a run log.
 
     Left axis: the adapted rates on [0, RATE_AXIS_MAX]. Right axis: log10 of
-    the best objective value seen so far. Markers are thinned so that long
-    runs stay readable.
+    the best objective value seen so far, at the records where it is finite
+    (an objective that returns inf for a whole generation leaves an inf
+    best). Markers are thinned so that long runs stay readable.
     """
     if len(log) == 0:
         raise EmptyInput("cannot plot an empty run log")
     evals = [r.evals for r in log.records]
     x_of, x_lo, x_hi = _x_mapper(evals)
     rate_y = _y_mapper(0.0, RATE_AXIS_MAX)
-    fvals = log10_best_f(log)
+    best = [(e, v) for e, v in zip(evals, log10_best_f(log)) if math.isfinite(v)]
+    if not best:
+        raise EmptyInput("cannot plot a run log with no finite best_f")
+    fvals = [v for _, v in best]
     f_lo, f_hi = math.floor(min(fvals)), math.ceil(max(fvals))
     f_y = _y_mapper(float(f_lo), float(f_hi))
 
@@ -200,7 +204,7 @@ def emit_plot(log: RunLog, path, title: str = "") -> None:
     )
 
     # best-f curve on the right axis
-    f_points = [(x_of(e), f_y(v)) for e, v in zip(evals, fvals)]
+    f_points = [(x_of(e), f_y(v)) for e, v in best]
     parts.append(_polyline(f_points, BEST_F_COLOR, width=1.2))
 
     # rate curves with thinned markers on the left axis

@@ -224,7 +224,7 @@ def test_criterion_3_invariance_suite():
         # the first generation and 12 steps of the rate search after it
         search = adapt.init_search(20, sc.RngStream(34).child(1))
         loop = restart.segment_states(
-            objective, params_self, mean0, 2.0, sc.RngStream(34), search
+            objective, params_self, mean0, sc.RngStream(34), search
         )
         return list(itertools.islice(loop, 13))[-1]
 

@@ -201,11 +201,9 @@ def _sphere(x):
     return float(np.sum(x**2))
 
 
-def _states(objective, params, mean0, sigma0, seed, search, gens):
+def _states(objective, params, mean0, seed, search, gens):
     """The first `gens` (state, search) pairs of one segment loop."""
-    loop = restart.segment_states(
-        objective, params, mean0, sigma0, sc.RngStream(seed), search
-    )
+    loop = restart.segment_states(objective, params, mean0, sc.RngStream(seed), search)
     return list(itertools.islice(loop, gens))
 
 
@@ -226,7 +224,7 @@ def test_h_objective_matches_the_full_update_on_a_real_segment():
     problem = sc.make_problem("rosenbrock", n, sc.RngStream(45))
     mean0 = sc.RngStream(46).uniform_vector(-4.0, 4.0, n)
     search = adapt.init_search(lam, sc.RngStream(47).child(1))
-    pairs = _states(problem, sc.default_params(n, lam), mean0, 2.0, 47, search, 40)
+    pairs = _states(problem, sc.default_params(n, lam), mean0, 47, search, 40)
     states = [state for state, _ in pairs]
     mu_sel = search.mu_sel
     rng = sc.RngStream(48)
@@ -298,7 +296,7 @@ def test_self_step_scores_the_replay_and_steps_only_the_auxiliary():
 def test_segment_loop_injects_the_search_rates():
     params = sc.default_params(4, 8)
     search = adapt.init_search(8, sc.RngStream(33).child(1))
-    pairs = _states(_sphere, params, np.full(4, 2.0), 1.0, 33, search, 5)
+    pairs = _states(_sphere, params, np.full(4, 2.0), 33, search, 5)
     for gen, (state, stepped) in enumerate(pairs, start=1):
         assert state.gen == gen
         # the first generation runs on the initial rates; each later one
@@ -316,16 +314,17 @@ def test_frozen_auxiliary_reduces_to_plain_cmaes():
     # must reproduce its fixed-rate run pinned at the decoded initial rates
     params = sc.default_params(3, 6)
     mean0 = np.array([1.5, -2.0, 0.5])
-    search = adapt.init_search(6, sc.RngStream(32).child(1), lambda_h=2)
-    search = dataclasses.replace(
-        search, aux=dataclasses.replace(search.aux, sigma=1e-300)
-    )
+    rng = sc.RngStream(32).child(1)
+    aux_params = sc.default_params(adapt.AUX_DIM, 2)
+    aux_mean = rng.uniform_vector(0.0, 1.0, adapt.AUX_DIM)
+    aux = sc.initial_state(aux_params, aux_mean, 1e-300)
+    search = adapt.RateSearch(aux=aux, mu_sel=3, rng=rng)
     frozen_mean = search.aux.mean.copy()
     pinned = search.rates
     pinned_params = params.with_cov_rates(*pinned)
 
-    adaptive = _states(_sphere, params, mean0, 1.0, 32, search, 12)
-    fixed = _states(_sphere, pinned_params, mean0, 1.0, 32, None, 12)
+    adaptive = _states(_sphere, params, mean0, 32, search, 12)
+    fixed = _states(_sphere, pinned_params, mean0, 32, None, 12)
     for (a, stepped), (b, none) in zip(adaptive, fixed):
         assert none is None
         np.testing.assert_array_equal(stepped.aux.mean, frozen_mean)

@@ -1,10 +1,11 @@
 """CLI flag parsing, config-file merging, and exit codes."""
+import math
 import xml.etree.ElementTree as ET
 
 import pytest
 
 from selfcma import cli
-from selfcma.runlog import RunLog
+from selfcma.runlog import GenRecord, RunLog
 
 
 def _run_args(out, extra=()):
@@ -138,8 +139,8 @@ def test_csv_logs_loadable_after_cli_run(tmp_path):
     "flag,value", [("--tol-x", "-1"), ("--max-cond", "0.5"), ("--stagnation-gens", "0")]
 )
 def test_bad_stop_threshold_exits_one_before_writing(tmp_path, capsys, flag, value):
-    # the thresholds are fixed: StopConfig still checks their values
-    # (test_restart), and their flags are refused as unknown
+    # the thresholds are fixed values in restart (test_restart), so their
+    # flags are refused as unknown
     out = tmp_path / "out"
     assert cli.main(_run_args(out, extra=[flag, value])) == 1
     assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
@@ -182,6 +183,17 @@ def test_plot_malformed_log_exits_two_naming_the_file(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("selfcma: error: ") and err.count("\n") == 1
         assert str(log) in err
+
+
+def test_plot_without_a_finite_best_f_exits_two(tmp_path, capsys):
+    # an objective that returns inf for every candidate leaves best_f inf
+    rows = [GenRecord(g, 8 * g, math.inf, math.inf, 2.0, 0.1, 0.2, 0.3) for g in (1, 2)]
+    RunLog(rows).to_csv(tmp_path / "run_000.csv")
+    fig = tmp_path / "f.svg"
+    assert cli.main(["plot", "--in", str(tmp_path), "--out", str(fig)]) == 2
+    err = capsys.readouterr().err
+    assert err == "selfcma: error: cannot plot a run log with no finite best_f\n"
+    assert not fig.exists()
 
 
 def test_compare_empty_summary_exits_two(tmp_path, capsys):

@@ -3,13 +3,13 @@ import re
 from pathlib import Path
 
 import selfcma as sc
+from selfcma.runlog import RunLog
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 DOCUMENTED = [
     "ExperimentConfig",
     "RngStream",
-    "StopConfig",
     "default_params",
     "errors",
     "initial_state",
@@ -21,6 +21,10 @@ DOCUMENTED = [
 ]
 
 
+def _api_section():
+    return README.read_text().split("## Python API", 1)[1].split("\n## ", 1)[0]
+
+
 def test_every_exported_name_resolves():
     missing = [name for name in sc.__all__ if not hasattr(sc, name)]
     assert missing == []
@@ -29,8 +33,19 @@ def test_every_exported_name_resolves():
 
 def test_exports_are_the_documented_api():
     assert sorted(sc.__all__) == DOCUMENTED
-    section = README.read_text().split("## Python API", 1)[1].split("\n## ", 1)[0]
+    section = _api_section()
     undocumented = [
         name for name in sc.__all__ if not re.search(rf"\b{name}\b", section)
     ]
     assert undocumented == []
+
+
+def test_readme_example_runs(tmp_path, monkeypatch, capsys):
+    # the "Python API" code block, run as written in an empty directory
+    (code,) = re.findall(r"```python\n(.*?)```", _api_section(), re.S)
+    monkeypatch.chdir(tmp_path)
+    exec(compile(code, str(README), "exec"), {})
+    assert capsys.readouterr().out.split()[1:] == ["target_hit", "0"]
+    last = RunLog.from_csv(tmp_path / "run.csv").records[-1]
+    assert last.best_f <= 1e-8
+    assert last.stop_reason == "target_hit"

@@ -61,6 +61,35 @@ def test_nonpositive_best_f_is_floored(tmp_path):
     ET.parse(path)
 
 
+def test_non_finite_best_f_is_left_out(tmp_path):
+    # an objective that returns inf for a whole generation leaves an inf
+    # best; only the finite points are plotted
+    recs = [
+        GenRecord(1, 10, math.inf, math.inf, 1, 0.1, 0.1, 0.1),
+        GenRecord(2, 20, 100.0, 100.0, 1, 0.1, 0.1, 0.1),
+        GenRecord(3, 30, 1.0, 1.0, 1, 0.1, 0.1, 0.1),
+    ]
+    path = tmp_path / "fig.svg"
+    svgplot.emit_plot(RunLog(recs), path)
+    ET.parse(path)
+    ext = svgplot.parse_extents(path.read_text())
+    assert ext["log10_best_f"] == (0.0, 2.0)
+    assert ext["evals"] == (10.0, 30.0)
+    best_f_line = [
+        line for line in path.read_text().splitlines()
+        if "<polyline" in line and svgplot.BEST_F_COLOR in line
+    ]
+    assert len(best_f_line) == 1 and best_f_line[0].count(",") == 2
+
+
+@pytest.mark.parametrize("best_f", [math.inf, math.nan])
+def test_no_finite_best_f_rejected(tmp_path, best_f):
+    recs = [GenRecord(g, 10 * g, best_f, 1.0, 1, 0.1, 0.1, 0.1) for g in (1, 2)]
+    with pytest.raises(EmptyInput, match="no finite best_f"):
+        svgplot.emit_plot(RunLog(recs), tmp_path / "fig.svg")
+    assert not (tmp_path / "fig.svg").exists()
+
+
 def test_single_record_log_does_not_degenerate(tmp_path):
     path = tmp_path / "fig.svg"
     svgplot.emit_plot(RunLog([GenRecord(1, 10, 1.0, 1.0, 1, 0.1, 0.2, 0.3)]), path)
