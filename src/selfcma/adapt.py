@@ -128,7 +128,8 @@ def h_objective(
     top = pop_new.order[:mu_sel]
     # one 1-D sum per triple: a 2-D sum over axis 1 adds in another order
     scores[feasible] = [
-        np.sum(ranks[top] * (1.0 / mu_sel)) for ranks in descending_ranks(distances)
+        np.add.reduce(ranks[top] * (1.0 / mu_sel))
+        for ranks in descending_ranks(distances)
     ]
     return scores
 

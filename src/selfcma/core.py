@@ -337,7 +337,7 @@ def update_distribution(state: CmaState, pop: EvaluatedPopulation) -> CmaState:
     path_sigma = (1.0 - p.c_sigma) * state.path_sigma + math.sqrt(
         p.c_sigma * (2.0 - p.c_sigma)
     ) * math.sqrt(p.mu_w) * (inv_sqrt_c @ step)
-    ps_norm = float(np.linalg.norm(path_sigma))
+    ps_norm = math.sqrt(path_sigma.dot(path_sigma))
 
     t_next = state.gen + 1
     threshold = (
@@ -356,10 +356,10 @@ def update_distribution(state: CmaState, pop: EvaluatedPopulation) -> CmaState:
     )
 
     if not (
-        np.all(np.isfinite(new_mean))
-        and np.all(np.isfinite(path_sigma))
-        and np.all(np.isfinite(path_c))
-        and np.all(np.isfinite(new_cov))
+        np.isfinite(new_mean).all()
+        and np.isfinite(path_sigma).all()
+        and np.isfinite(path_c).all()
+        and np.isfinite(new_cov).all()
         and math.isfinite(new_sigma)
         and new_sigma > 0.0
     ):

@@ -94,3 +94,34 @@ def test_problems_nonnegative_and_zero_at_optimum(name, seed):
     assert p(p.x_opt) <= 1e-18
     x = sc.RngStream(seed).child(5).uniform_vector(-5, 5, 4)
     assert p(x) >= 0.0
+
+
+def _numpy_reference(problem, x):
+    """Each evaluator written with numpy's generic wrappers (`np.sum`, `@`,
+    `np.sqrt`), the forms its per-point kernel must repeat bit for bit."""
+    if problem.name == "sphere":
+        z = x - problem.x_opt
+        return float(z @ z)
+    if problem.name == "rosenbrock":
+        z = x - problem.x_opt + 1.0
+        return float(np.sum(100.0 * (z[:-1] ** 2 - z[1:]) ** 2 + (z[:-1] - 1.0) ** 2))
+    z = problem.rotation @ (x - problem.x_opt)
+    if problem.name == "ellipsoid":
+        scales = 10.0 ** (6.0 * np.arange(problem.n) / (problem.n - 1))
+        return float(scales @ (z * z))
+    return float(z[0] ** 2 + 100.0 * np.sqrt(np.sum(z[1:] ** 2)))
+
+
+@pytest.mark.parametrize("n", [2, 10, 40])
+@pytest.mark.parametrize("name", benchmarks.PROBLEM_NAMES)
+def test_evaluators_match_the_numpy_reference_bit_for_bit(name, n):
+    p = sc.make_problem(name, n, sc.RngStream(62))
+    rng = np.random.default_rng(63)
+    # the optimum, Gaussian steps around it from 1e-8 to 1e3, and the box
+    # |x| <= 1e3: about 2000 points per problem over the three dimensions
+    scales = 10.0 ** rng.uniform(-8.0, 3.0, size=(350, 1))
+    near = p.x_opt + scales * rng.standard_normal((350, n))
+    far = rng.uniform(-1e3, 1e3, size=(349, n))
+    points = np.vstack([p.x_opt, near, far])
+    bad = [i for i, x in enumerate(points) if p(x) != _numpy_reference(p, x)]
+    assert not bad, f"{name} n={n}: {len(bad)} of {len(points)} differ, first {bad[:5]}"
