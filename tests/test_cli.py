@@ -135,6 +135,18 @@ def test_csv_logs_loadable_after_cli_run(tmp_path):
     assert log.records[-1].stop_reason != ""
 
 
+@pytest.mark.parametrize(
+    "flag,value", [("--tol-x", "-1"), ("--max-cond", "0.5"), ("--stagnation-gens", "0")]
+)
+def test_bad_stop_threshold_exits_one_before_writing(tmp_path, capsys, flag, value):
+    # the thresholds are fixed values in restart (test_restart), so their
+    # flags are refused as unknown, whatever the value
+    out = tmp_path / "out"
+    assert cli.main(_run_args(out, extra=[flag, value])) == 1
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_removed_flags_and_negative_seed_exit_one_before_writing(tmp_path, capsys):
     # lambda is the one user knob: the initial step size, lambda_h and the
     # restart thresholds are fixed, so their flags and keys are refused
@@ -144,11 +156,8 @@ def test_removed_flags_and_negative_seed_exit_one_before_writing(tmp_path, capsy
         ("--lambda-h", "10"),
         ("--tol-hist-fun", "1e-11"),
         ("--tol-x", "1e-9"),
-        ("--tol-x", "-1"),
         ("--max-cond", "1e10"),
-        ("--max-cond", "0.5"),
         ("--stagnation-gens", "50"),
-        ("--stagnation-gens", "0"),
     ):
         assert cli.main(_run_args(out, extra=[flag, value])) == 1, flag
         err = capsys.readouterr().err
