@@ -13,7 +13,6 @@ in `restart` injects them after every auxiliary step.
 """
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,23 +89,19 @@ def descending_ranks(values) -> np.ndarray:
 
 
 def h_objective(
-    triples,
-    prev_state: CmaState,
-    state: CmaState,
-    pop_new: EvaluatedPopulation,
-    mu_sel: int,
+    triples, state: CmaState, pop_new: EvaluatedPopulation, mu_sel: int
 ) -> np.ndarray:
     """Rank-agreement scores of a (k, 3) array of learning-rate triples.
 
     For each feasible triple, recomputes the covariance half of the update
-    `prev_state` -> `state` under its rates, from the rate-free terms
-    recorded on `state`, all triples in one stacked computation. Then ranks
-    `pop_new` by Mahalanobis distance from `state.mean` under that
-    covariance (largest distance = rank 1, so likelier points get larger
-    rank numbers) and scores the mean rank of the mu_sel best-by-fitness
-    candidates. Larger is better; the maximum is attained when the fitness
-    winners are exactly the likeliest points. Infeasible triples score
-    minus their constraint penalty. Returns the (k,) scores.
+    that produced `state` under its rates, from the record `state.terms`,
+    all triples in one stacked computation. Then ranks `pop_new` by
+    Mahalanobis distance from `state.mean` under that covariance (largest
+    distance = rank 1, so likelier points get larger rank numbers) and
+    scores the mean rank of the mu_sel best-by-fitness candidates. Larger
+    is better; the maximum is attained when the fitness winners are exactly
+    the likeliest points. Infeasible triples score minus their constraint
+    penalty. Returns the (k,) scores.
 
     Raises:
         NonPositiveDefinite: if any feasible triple's covariance is
@@ -122,7 +117,7 @@ def h_objective(
     if not feasible.any():
         return scores
     c_1, c_mu, c_c = triples[feasible].T
-    _, cov = core.covariance_update(prev_state, state.terms, c_1, c_mu, c_c)
+    _, cov = core.covariance_update(state.terms, c_1, c_mu, c_c)
     inv_sqrt_c = linalg.inv_sqrt(linalg.sym_eigen(cov))
     distances = linalg.mahalanobis(pop_new.candidates, state.mean, inv_sqrt_c)
     top = pop_new.order[:mu_sel]
@@ -139,7 +134,6 @@ class RateSearch:
     """The auxiliary optimizer over rate triples and its private random stream."""
 
     aux: CmaState
-    mu_sel: int
     rng: RngStream
 
     @property
@@ -148,35 +142,29 @@ class RateSearch:
         return project_feasible(*decode(self.aux.mean))
 
 
-def init_search(lam: int, rng: RngStream) -> RateSearch:
-    """Rate search for a primary optimizer with population size `lam`.
+def init_search(rng: RngStream) -> RateSearch:
+    """A fresh rate search drawing from `rng`.
 
     The auxiliary optimizer starts from a mean drawn uniformly in the unit
     box from `rng` with step-size AUX_SIGMA0 and population size
-    DEFAULT_LAMBDA_H; its rates are the primary's initial ones. The score
-    averages the ranks of the best half of the primary population.
+    DEFAULT_LAMBDA_H; its rates are the primary's initial ones.
     """
     aux_params = core.default_params(AUX_DIM, DEFAULT_LAMBDA_H)
     aux_mean = rng.uniform_vector(0.0, 1.0, AUX_DIM)
     aux = core.initial_state(aux_params, aux_mean, AUX_SIGMA0)
-    return RateSearch(aux=aux, mu_sel=max(1, lam // 2), rng=rng)
+    return RateSearch(aux=aux, rng=rng)
 
 
-def self_step(
-    search: RateSearch, prev_state: CmaState, state: CmaState, advanced: CmaState
-) -> RateSearch:
+def self_step(search: RateSearch, state: CmaState, advanced: CmaState) -> RateSearch:
     """One auxiliary generation after the primary went `state` -> `advanced`.
 
     Samples DEFAULT_LAMBDA_H unit-box points, scores their decoded rate
-    triples in one `h_objective` call on the covariance half of the update
-    `prev_state` -> `state`, ranking `advanced.last_pop`, and updates the
-    auxiliary on minus those scores. The primary is not touched; its next
-    rates are the returned `rates`.
+    triples in one `h_objective` call on the update that produced `state`,
+    ranking `advanced.last_pop` by its primary's selection size, and updates
+    the auxiliary on minus those scores. The primary is not touched; its
+    next rates are the returned `rates`.
     """
     u = core.sample_population(search.aux, search.rng)
-    scores = h_objective(
-        decode(u), prev_state, state, advanced.last_pop, search.mu_sel
-    )
+    scores = h_objective(decode(u), state, advanced.last_pop, state.params.mu)
     pop = EvaluatedPopulation.from_fitness(u, -scores)
-    aux = core.update_distribution(search.aux, pop)
-    return dataclasses.replace(search, aux=aux)
+    return RateSearch(core.update_distribution(search.aux, pop), search.rng)

@@ -213,8 +213,12 @@ class EvaluatedPopulation:
 
 @dataclass(frozen=True, eq=False)
 class UpdateTerms:
-    """The rate-free terms of a covariance update."""
+    """What a covariance update reads besides its rates. It holds the pre-update
+    `path_c` and `cov`, not that state, so states do not chain in memory."""
 
+    path_c: np.ndarray  # (n,) pre-update covariance path
+    cov: np.ndarray  # (n, n) pre-update covariance
+    mu_w: float  # variance-effective selection mass
     step: np.ndarray  # (n,) mean shift over the pre-update step-size
     h_sigma: float  # stall indicator, 1.0 or 0.0
     rank_mu: np.ndarray  # (n, n) weighted outer products of the selected steps
@@ -226,9 +230,9 @@ class CmaState:
 
     `eigen` always decomposes `cov`; it is carried along so samplers never
     recompute it. `last_pop` is the population whose update produced this
-    state and `terms` the rate-free terms of that update (both None for an
-    initial state): the rate search scores a candidate triple on the
-    covariance half of the last update under the candidate rates.
+    state and `terms` the record of that update's covariance half (both
+    None for an initial state): the rate search replays it under candidate
+    rates from this state alone.
     """
 
     params: StrategyParams
@@ -278,10 +282,10 @@ def sample_population(state: CmaState, rng: RngStream) -> np.ndarray:
 
 
 def covariance_update(
-    state: CmaState, terms: UpdateTerms, c_1, c_mu, c_c
+    terms: UpdateTerms, c_1, c_mu, c_c
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(path_c, raw unsymmetrized C) of the rank-one plus rank-mu update of
-    the pre-update `state` with the rates (c_1, c_mu, c_c).
+    """(path_c, raw unsymmetrized C) of the rank-one plus rank-mu update
+    recorded in `terms`, with the rates (c_1, c_mu, c_c).
 
     The rates are floats, giving an (n,) path and an (n, n) matrix, or (k,)
     arrays, giving a (k, n) and a (k, n, n) stack with one entry per rate
@@ -289,12 +293,12 @@ def covariance_update(
     each stacked entry has the bits of a call with that triple's floats.
     """
     c_c = _per_triple(c_c, 1)
-    path_c = (1.0 - c_c) * state.path_c + terms.h_sigma * np.sqrt(
+    path_c = (1.0 - c_c) * terms.path_c + terms.h_sigma * np.sqrt(
         c_c * (2.0 - c_c)
-    ) * math.sqrt(state.params.mu_w) * terms.step
+    ) * math.sqrt(terms.mu_w) * terms.step
     c_1, c_mu = _per_triple(c_1, 2), _per_triple(c_mu, 2)
     cov = (
-        (1.0 - c_1 - c_mu) * state.cov
+        (1.0 - c_1 - c_mu) * terms.cov
         + c_1 * (path_c[..., :, None] * path_c[..., None, :])
         + c_mu * terms.rank_mu
     )
@@ -348,8 +352,9 @@ def update_distribution(state: CmaState, pop: EvaluatedPopulation) -> CmaState:
     h_sigma = 1.0 if ps_norm < threshold else 0.0
 
     steps = (selected - state.mean) / state.sigma
-    terms = UpdateTerms(step, h_sigma, (steps.T * p.weights) @ steps)
-    path_c, new_cov = covariance_update(state, terms, p.c_1, p.c_mu, p.c_c)
+    rank_mu = (steps.T * p.weights) @ steps
+    terms = UpdateTerms(state.path_c, state.cov, p.mu_w, step, h_sigma, rank_mu)
+    path_c, new_cov = covariance_update(terms, p.c_1, p.c_mu, p.c_c)
 
     new_sigma = state.sigma * math.exp(
         (p.c_sigma / p.d_sigma) * (ps_norm / chi_n - 1.0)

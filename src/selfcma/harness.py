@@ -89,11 +89,12 @@ def field_parser(field: dataclasses.Field):
 def parse_config_text(text: str) -> dict:
     """Parse flat key=value lines into typed config keyword arguments.
 
-    Blank lines and lines starting with '#' are ignored. Unknown keys and
-    unparsable values raise ConfigError naming the key.
+    Blank lines and lines starting with '#' are ignored. Unknown, repeated
+    and unparsable keys raise ConfigError naming the key.
     """
     known = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
     out: dict = {}
+    seen: dict = {}  # key -> the line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -105,6 +106,9 @@ def parse_config_text(text: str) -> dict:
         value = value.strip()
         if key not in known:
             raise ConfigError(f"{key}: unknown config key")
+        if key in seen:
+            raise ConfigError(f"{key}: set on lines {seen[key]} and {lineno}")
+        seen[key] = lineno
         try:
             out[key] = field_parser(known[key])(value)
         except ValueError as exc:
@@ -218,7 +222,7 @@ def read_summary_column(directory, column: str) -> list[str]:
         raise MalformedLog(f"{path}: missing header")
     header = lines[0].split(",")
     if column not in header:
-        raise ConfigError(f"{column}: no such summary column")
+        raise MalformedLog(f"{path}: no {column} column")
     pos = header.index(column)
     rows = [line.split(",") for line in lines[1:] if line]
     if any(len(row) != len(header) for row in rows):

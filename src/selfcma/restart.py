@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from . import adapt, core
-from .core import CmaState, StrategyParams
+from .core import CmaState
 from .errors import ConfigError
 from .rng import RngStream
 from .runlog import GenRecord, RunLog
@@ -183,23 +183,17 @@ def segment_states(objective, params, mean0, seg_rng, search=None):
     one and its new rates are injected into the state.
     """
     if search is not None:
-        params = _with_rates(params, search)
+        params = params.with_cov_rates(*search.rates)
     state = core.initial_state(params, mean0, core.INIT_SIGMA)
     step_rng = seg_rng.child(0)
-    prev = None
     while True:
         advanced = core.generation(objective, state, step_rng)
-        if search is not None and prev is not None:
-            search = adapt.self_step(search, prev, state, advanced)
-            advanced = dataclasses.replace(
-                advanced, params=_with_rates(advanced.params, search)
-            )
+        if search is not None and state.terms is not None:
+            search = adapt.self_step(search, state, advanced)
+            injected = params.with_cov_rates(*search.rates)
+            advanced = dataclasses.replace(advanced, params=injected)
         yield advanced, search
-        prev, state = state, advanced
-
-
-def _with_rates(params: StrategyParams, search: adapt.RateSearch) -> StrategyParams:
-    return params.with_cov_rates(*search.rates)
+        state = advanced
 
 
 def ipop_run(
@@ -244,7 +238,7 @@ def ipop_run(
         params = core.default_params(n, lam)
         spent = records[-1].evals if records else 0
         lambdas.append(lam)
-        search = None if mode == "plain" else adapt.init_search(lam, seg_rng.child(1))
+        search = None if mode == "plain" else adapt.init_search(seg_rng.child(1))
 
         history = SegmentHistory(hist_window(n, lam), spent)
         for state, _ in segment_states(objective, params, mean0, seg_rng, search):

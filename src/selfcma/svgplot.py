@@ -12,6 +12,7 @@ import math
 from pathlib import Path
 from xml.sax.saxutils import escape
 
+from .adapt import BOX_HIGH
 from .errors import EmptyInput
 from .runlog import RunLog, format_float
 
@@ -21,8 +22,6 @@ MARGIN_LEFT = 72
 MARGIN_RIGHT = 84
 MARGIN_TOP = 46
 MARGIN_BOTTOM = 58
-
-RATE_AXIS_MAX = 0.9  # left axis fixed to the feasible range of the rates
 
 # series name, record column, stroke color, marker shape
 RATE_SERIES = (
@@ -110,7 +109,7 @@ def log10_best_f(log: RunLog) -> list[float]:
 def emit_plot(log: RunLog, path, title: str = "") -> None:
     """Write one dual-axis SVG chart for a run log.
 
-    Left axis: the adapted rates on [0, RATE_AXIS_MAX]. Right axis: log10 of
+    Left axis: the adapted rates on [0, BOX_HIGH]. Right axis: log10 of
     the best objective value seen so far, at the records where it is finite
     (an objective that returns inf for a whole generation leaves an inf
     best). Markers are thinned so that long runs stay readable.
@@ -119,7 +118,7 @@ def emit_plot(log: RunLog, path, title: str = "") -> None:
         raise EmptyInput("cannot plot an empty run log")
     evals = [r.evals for r in log.records]
     x_of, x_lo, x_hi = _x_mapper(evals)
-    rate_y = _y_mapper(0.0, RATE_AXIS_MAX)
+    rate_y = _y_mapper(0.0, BOX_HIGH)
     best = [(e, v) for e, v in zip(evals, log10_best_f(log)) if math.isfinite(v)]
     if not best:
         raise EmptyInput("cannot plot a run log with no finite best_f")
@@ -174,7 +173,7 @@ def emit_plot(log: RunLog, path, title: str = "") -> None:
 
     # left ticks: the rate scale in steps of 0.1
     tick = 0.0
-    while tick <= RATE_AXIS_MAX + 1e-9:
+    while tick <= BOX_HIGH + 1e-9:
         py = rate_y(tick)
         parts.append(
             f'<line x1="{MARGIN_LEFT - 5}" y1="{_fmt(py)}" x2="{MARGIN_LEFT}" '

@@ -170,7 +170,7 @@ def test_criterion_2_rank_agreement_matches_brute_force():
         # raw draws cross the constraint boundary, so both branches run;
         # the three triples are scored as one stack
         triples = np.stack([rng.uniform_vector(-0.2, 0.7, 3) for _ in range(3)])
-        scores = adapt.h_objective(triples, state, updated, pop_new, mu_sel)
+        scores = adapt.h_objective(triples, updated, pop_new, mu_sel)
         assert scores.shape == (3,), i
         for triple, got, feasible in zip(
             triples, scores, adapt.is_feasible(triples)
@@ -222,7 +222,7 @@ def test_criterion_3_invariance_suite():
 
     def self_adaptive(objective):
         # the first generation and 12 steps of the rate search after it
-        search = adapt.init_search(20, sc.RngStream(34).child(1))
+        search = adapt.init_search(sc.RngStream(34).child(1))
         loop = restart.segment_states(
             objective, params_self, mean0, sc.RngStream(34), search
         )
@@ -248,7 +248,7 @@ def test_criterion_3_invariance_suite():
                 *sc.RngStream(73_000 + i).uniform_vector(0.0, 0.6, 3)
             )
         ]
-        (base,) = adapt.h_objective(triple, state, updated, pop_new, 4)
+        (base,) = adapt.h_objective(triple, updated, pop_new, 4)
         for s in (0.01, 100.0):
             root = math.sqrt(s)
             cov = linalg.symmetrize(state.cov * s)
@@ -260,7 +260,7 @@ def test_criterion_3_invariance_suite():
                 path_c=state.path_c * root,
             )
             (got,) = adapt.h_objective(
-                triple, scaled, sc.update_distribution(scaled, pop_used), pop_new, 4
+                triple, sc.update_distribution(scaled, pop_used), pop_new, 4
             )
             assert got == base, f"instance {i}, scale {s}: {got!r} != {base!r}"
 

@@ -117,7 +117,7 @@ def test_h_objective_worked_example():
     pop_new = core.EvaluatedPopulation.from_fitness(cands, [1.0, 2.0, 3.0, 4.0])
 
     rates = [[state.params.c_1, state.params.c_mu, state.params.c_c]]
-    (h,) = adapt.h_objective(rates, state, updated, pop_new, 2)
+    (h,) = adapt.h_objective(rates, updated, pop_new, 2)
     assert h == pytest.approx(3.0, abs=1e-12)
 
 
@@ -134,17 +134,17 @@ def test_h_objective_bounds_and_extremes():
     rates = [[state.params.c_1, state.params.c_mu, state.params.c_c]]
 
     best_case = core.EvaluatedPopulation.from_fitness(cands, [1.0, 2.0, 3.0, 4.0])
-    assert adapt.h_objective(rates, state, updated, best_case, 2) == [3.5]
+    assert adapt.h_objective(rates, updated, best_case, 2) == [3.5]
 
     worst_case = core.EvaluatedPopulation.from_fitness(cands, [4.0, 3.0, 2.0, 1.0])
-    assert adapt.h_objective(rates, state, updated, worst_case, 2) == [1.5]
+    assert adapt.h_objective(rates, updated, worst_case, 2) == [1.5]
 
 
 def test_h_objective_penalizes_infeasible_without_replay():
     state = make_random_state(seed=320, n=2, lam=4)
     pop = make_random_pop(state, seed=321)
     bad = [[0.6, 0.6, 0.2]]  # joint sum 1.2 > 0.9
-    (got,) = adapt.h_objective(bad, state, state, pop, 2)
+    (got,) = adapt.h_objective(bad, state, pop, 2)
     assert got == -adapt.penalty(bad)[0]
     assert got <= -1e9 * 0.29
 
@@ -157,7 +157,7 @@ def test_h_objective_matches_brute_force():
         pop_new = make_random_pop(updated, seed=600 + seed)
         rng = sc.RngStream(700 + seed)
         triple = adapt.project_feasible(*rng.uniform_vector(0.0, 0.6, 3))
-        (got,) = adapt.h_objective([triple], state, updated, pop_new, 4)
+        (got,) = adapt.h_objective([triple], updated, pop_new, 4)
         want = reference_h(
             triple,
             state_as_dict(state),
@@ -175,7 +175,7 @@ def test_h_objective_mu_sel_too_large():
     pop = make_random_pop(state, seed=411)
     for mu_sel in (5, 0):  # the score averages 1 to lam ranks
         with pytest.raises(DimensionMismatch):
-            adapt.h_objective([[0.1, 0.1, 0.1]], state, state, pop, mu_sel)
+            adapt.h_objective([[0.1, 0.1, 0.1]], state, pop, mu_sel)
 
 
 def test_h_objective_degenerate_candidate_raises():
@@ -185,16 +185,17 @@ def test_h_objective_degenerate_candidate_raises():
     state = make_random_state(seed=460, n=2, lam=4)
     pop_used = make_random_pop(state, seed=461)
     updated = sc.update_distribution(state, pop_used)
-    collapsed = dataclasses.replace(
-        state, cov=np.diag([1.0, 1e-30]), path_c=np.zeros(2)
+    terms = dataclasses.replace(
+        updated.terms, cov=np.diag([1.0, 1e-30]), path_c=np.zeros(2)
     )
+    collapsed = dataclasses.replace(updated, terms=terms)
     pop_new = make_random_pop(updated, seed=462)
     healthy = [[0.1, 0.3, 0.5], [0.2, 0.2, 0.2]]
-    scores = adapt.h_objective(healthy, collapsed, updated, pop_new, 2)
+    scores = adapt.h_objective(healthy, collapsed, pop_new, 2)
     assert np.all(scores >= 1.5)
     stack = healthy[:1] + [[0.0, 0.0, 0.5]] + healthy[1:]
     with pytest.raises(NonPositiveDefinite, match="matrix 1 of the stack"):
-        adapt.h_objective(stack, collapsed, updated, pop_new, 2)
+        adapt.h_objective(stack, collapsed, pop_new, 2)
 
 
 def _sphere(x):
@@ -223,10 +224,10 @@ def test_h_objective_matches_the_full_update_on_a_real_segment():
     n, lam = 10, 20
     problem = sc.make_problem("rosenbrock", n, sc.RngStream(45))
     mean0 = sc.RngStream(46).uniform_vector(-4.0, 4.0, n)
-    search = adapt.init_search(lam, sc.RngStream(47).child(1))
+    search = adapt.init_search(sc.RngStream(47).child(1))
     pairs = _states(problem, sc.default_params(n, lam), mean0, 47, search, 40)
     states = [state for state, _ in pairs]
-    mu_sel = search.mu_sel
+    mu_sel = states[0].params.mu
     rng = sc.RngStream(48)
     feasible = stalled = 0
     for prev_state, state, advanced in zip(states, states[1:], states[2:]):
@@ -235,9 +236,7 @@ def test_h_objective_matches_the_full_update_on_a_real_segment():
         triples = [[used.c_1, used.c_mu, used.c_c]]
         triples += [rng.uniform_vector(-0.1, 0.95, 3) for _ in range(6)]
         triples = np.array(triples)
-        scores = adapt.h_objective(
-            triples, prev_state, state, advanced.last_pop, mu_sel
-        )
+        scores = adapt.h_objective(triples, state, advanced.last_pop, mu_sel)
         for h, got, ok in zip(triples, scores, adapt.is_feasible(triples)):
             if ok:
                 feasible += 1
@@ -252,9 +251,8 @@ def test_h_objective_matches_the_full_update_on_a_real_segment():
 
 
 def test_init_search_starts_from_its_own_stream():
-    search = adapt.init_search(8, sc.RngStream(30).child(1))
+    search = adapt.init_search(sc.RngStream(30).child(1))
     assert search.rng.spawn_key == (1,)
-    assert search.mu_sel == 4
     assert search.aux.gen == 0
     assert search.aux.params.lam == adapt.DEFAULT_LAMBDA_H
     assert search.aux.sigma == adapt.AUX_SIGMA0
@@ -271,23 +269,24 @@ def test_self_step_scores_the_replay_and_steps_only_the_auxiliary():
     primary_rng = sc.RngStream(31).child(0)
     state = core.generation(_sphere, start, primary_rng)
     advanced = core.generation(_sphere, state, primary_rng)
-    search = adapt.init_search(8, sc.RngStream(31).child(1))
+    search = adapt.init_search(sc.RngStream(31).child(1))
 
-    stepped = adapt.self_step(search, start, state, advanced)
+    stepped = adapt.self_step(search, state, advanced)
     assert stepped.aux.gen == search.aux.gen + 1
     assert stepped.rng is search.rng and stepped.rng.spawn_key == (1,)
-    assert stepped.mu_sel == search.mu_sel
     assert advanced.gen == 2
 
     # the auxiliary minimizes minus the score of the update start -> state,
-    # ranked on the newest population
+    # ranked on the newest population by its best half
+    assert state.params.mu == 4
+
     def minus_score(u):
         (score,) = adapt.h_objective(
-            adapt.decode([u]), start, state, advanced.last_pop, search.mu_sel
+            adapt.decode([u]), state, advanced.last_pop, state.params.mu
         )
         return -score
 
-    fresh = adapt.init_search(8, sc.RngStream(31).child(1))
+    fresh = adapt.init_search(sc.RngStream(31).child(1))
     want = core.generation(minus_score, fresh.aux, fresh.rng)
     np.testing.assert_array_equal(stepped.aux.mean, want.mean)
     assert stepped.aux.sigma == want.sigma
@@ -295,7 +294,7 @@ def test_self_step_scores_the_replay_and_steps_only_the_auxiliary():
 
 def test_segment_loop_injects_the_search_rates():
     params = sc.default_params(4, 8)
-    search = adapt.init_search(8, sc.RngStream(33).child(1))
+    search = adapt.init_search(sc.RngStream(33).child(1))
     pairs = _states(_sphere, params, np.full(4, 2.0), 33, search, 5)
     for gen, (state, stepped) in enumerate(pairs, start=1):
         assert state.gen == gen
@@ -318,7 +317,7 @@ def test_frozen_auxiliary_reduces_to_plain_cmaes():
     aux_params = sc.default_params(adapt.AUX_DIM, 2)
     aux_mean = rng.uniform_vector(0.0, 1.0, adapt.AUX_DIM)
     aux = sc.initial_state(aux_params, aux_mean, 1e-300)
-    search = adapt.RateSearch(aux=aux, mu_sel=3, rng=rng)
+    search = adapt.RateSearch(aux=aux, rng=rng)
     frozen_mean = search.aux.mean.copy()
     pinned = search.rates
     pinned_params = params.with_cov_rates(*pinned)

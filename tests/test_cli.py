@@ -208,6 +208,7 @@ def test_compare_empty_summary_exits_two(tmp_path, capsys):
     for text, message in (
         ("", "missing header"),
         (f"{header}\n0,abc,8,1,1,0,target_hit\n", "'abc'"),
+        ("run,total_evals\n0,8\n", "no evals_to_target column"),
     ):
         summary.write_text(text)
         capsys.readouterr()

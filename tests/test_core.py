@@ -120,10 +120,17 @@ def test_with_cov_rates_replaces_only_rates():
 def test_covariance_update_stack_matches_float_calls():
     state = make_random_state(seed=90, n=4, lam=8)
     updated = sc.update_distribution(state, make_random_pop(state, seed=91))
+    # the record holds the pre-update arrays themselves, not copies
+    assert updated.terms.path_c is state.path_c and updated.terms.cov is state.cov
+    # under the update's own rates it reproduces the update bit for bit
+    p = state.params
+    path, cov = core.covariance_update(updated.terms, p.c_1, p.c_mu, p.c_c)
+    np.testing.assert_array_equal(path, updated.path_c)
+    np.testing.assert_array_equal(sc.linalg.symmetrize(cov), updated.cov)
     rates = sc.RngStream(92).uniform_vector(0.0, 0.45, 3 * 7).reshape(7, 3)
     for h_sigma in (updated.terms.h_sigma, 0.0):
         terms = dataclasses.replace(updated.terms, h_sigma=h_sigma)
-        paths, covs = core.covariance_update(state, terms, *rates.T)
+        paths, covs = core.covariance_update(terms, *rates.T)
         assert paths.shape == (7, 4) and covs.shape == (7, 4, 4)
         for (c_1, c_mu, c_c), path, cov in zip(rates.tolist(), paths, covs):
             # the update written out for one triple of floats
@@ -137,7 +144,7 @@ def test_covariance_update_stack_matches_float_calls():
             )
             np.testing.assert_array_equal(path, want_path)
             np.testing.assert_array_equal(cov, want_cov)
-            scalar = core.covariance_update(state, terms, c_1, c_mu, c_c)
+            scalar = core.covariance_update(terms, c_1, c_mu, c_c)
             np.testing.assert_array_equal(scalar[0], want_path)
             np.testing.assert_array_equal(scalar[1], want_cov)
 

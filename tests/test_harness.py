@@ -57,6 +57,8 @@ def test_parse_config_rejects_unknown_and_garbage():
         harness.parse_config_text("dim=ten\n")
     with pytest.raises(ConfigError, match="key=value"):
         harness.parse_config_text("just some words\n")
+    with pytest.raises(ConfigError, match="lam: set on lines 1 and 3"):
+        harness.parse_config_text("lam=100\nseed=1\nlam=50\n")
     assert harness.parse_config_text("# comment\n\nseed=9\n") == {"seed": 9}
 
 
