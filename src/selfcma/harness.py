@@ -1,15 +1,13 @@
 """Seeded batch experiments: many runs, CSV logs, one summary table.
 
 Run i of an experiment consumes stream child i of the master seed and is
-completely independent of every other run, so the batch can execute inline
-or in a process pool and still produce byte-identical output files.
+completely independent of every other run, so its output bytes do not
+depend on which other runs the batch holds or in what order they execute.
 """
 from __future__ import annotations
 
 import dataclasses
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,9 +20,6 @@ from .runlog import RunLog, format_float, lower_median
 SUMMARY_NAME = "summary.csv"
 CONFIG_NAME = "config.txt"
 SUMMARY_HEADER = "run,evals_to_target,total_evals,best_f,gens,restarts,stop_reason"
-
-# Environment variable capping worker processes; unset or "1" means inline.
-THREADS_ENV = "SELFCMA_THREADS"
 
 
 @dataclass(frozen=True)
@@ -154,48 +149,35 @@ def _summary_row(index: int, cfg: ExperimentConfig, report: RestartReport) -> st
     )
 
 
-def _worker_count(n_jobs: int) -> int:
-    raw = os.environ.get(THREADS_ENV, "").strip()
-    if not raw:
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{THREADS_ENV}: cannot parse {raw!r}") from exc
-    if workers < 1:
-        raise ConfigError(f"{THREADS_ENV}: must be >= 1, got {workers}")
-    return min(workers, n_jobs)
-
-
 def run_experiment(cfg: ExperimentConfig) -> list[RestartReport]:
     """Run the whole experiment and write its output directory.
 
     Produces run_000.csv .. run_NNN.csv (one per run), summary.csv, and
-    config.txt inside cfg.out_dir. Each run's CSV is written as soon as that
-    run returns, so a run that raises keeps the logs of the runs before it;
-    summary.csv and config.txt are written only once every run returned.
-    Reports come back in run order. Worker processes, if the environment
-    enables them, each own whole runs, so scheduling cannot influence any
-    numeric result.
+    config.txt inside cfg.out_dir. Runs execute one after another in the
+    calling process. Each run's CSV is written as soon as that run returns,
+    so a run that raises keeps the logs of the runs before it; summary.csv
+    and config.txt are written only once every run returned. Reports come
+    back in run order. A run_*.csv in cfg.out_dir that this experiment will
+    not write, say from an earlier one with more runs, raises ConfigError
+    before anything is written, since `load_run_logs` would read it too.
     """
     out_dir = Path(cfg.out_dir)
+    names = [run_name(i) for i in range(cfg.runs)]
+    stale = sorted(p.name for p in out_dir.glob("run_*.csv") if p.name not in names)
+    if stale:
+        raise ConfigError(
+            f"out_dir: {out_dir / stale[0]} is left from another experiment"
+        )
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def written(i: int, report: RestartReport) -> RestartReport:
-        report.log.to_csv(out_dir / run_name(i))
-        return report
-
-    workers = _worker_count(cfg.runs)
-    indices = range(cfg.runs)
-    if workers <= 1:
-        reports = [written(i, single_run(cfg, i)) for i in indices]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = pool.map(single_run, [cfg] * cfg.runs, indices)
-            reports = [written(i, report) for i, report in zip(indices, done)]
+    reports = []
+    for i, name in enumerate(names):
+        report = single_run(cfg, i)
+        report.log.to_csv(out_dir / name)
+        reports.append(report)
 
     summary_lines = [SUMMARY_HEADER]
-    summary_lines += [_summary_row(i, cfg, r) for i, r in zip(indices, reports)]
+    summary_lines += [_summary_row(i, cfg, r) for i, r in enumerate(reports)]
     (out_dir / SUMMARY_NAME).write_text("\n".join(summary_lines) + "\n")
     (out_dir / CONFIG_NAME).write_text(cfg.to_text())
     return reports

@@ -229,15 +229,3 @@ def emit_plot(log: RunLog, path, title: str = "") -> None:
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n")
 
-
-def parse_extents(svg_text: str) -> dict[str, tuple[float, float]]:
-    """Read back the series extents embedded by `emit_plot`."""
-    start = svg_text.index('<metadata id="series-extents">')
-    start += len('<metadata id="series-extents">')
-    end = svg_text.index("</metadata>", start)
-    out: dict[str, tuple[float, float]] = {}
-    for item in svg_text[start:end].split(";"):
-        name, _, span = item.partition("=")
-        lo, _, hi = span.partition(":")
-        out[name] = (float(lo), float(hi))
-    return out

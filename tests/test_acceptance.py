@@ -16,10 +16,12 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -75,27 +77,28 @@ RESTART_DIGEST = "1313b400951150edbf79f4c622d820fc93fb9c35c1d7bbe44fd9730275e09e
 @pytest.fixture(scope="session")
 def protocol_dirs(tmp_path_factory):
     base = tmp_path_factory.mktemp("protocol")
-    dirs = {}
-    with pytest.MonkeyPatch.context() as patch:
-        # whole runs go to worker processes; the output bytes cannot tell
-        patch.setenv(harness.THREADS_ENV, str(os.cpu_count() or 1))
-        for problem in benchmarks.PROBLEM_NAMES:
-            for mode in harness.MODES:
-                out = base / f"{problem}_{mode}"
-                cfg = harness.ExperimentConfig(
-                    problem=problem,
-                    dim=PROTOCOL_DIM,
-                    mode=mode,
-                    out_dir=str(out),
-                    lam=PROTOCOL_LAM,
-                    runs=PROTOCOL_RUNS,
-                    seed=PROTOCOL_SEED,
-                    budget=PROTOCOL_BUDGET,
-                    target=PROTOCOL_TARGET,
-                )
-                harness.run_experiment(cfg)
-                dirs[problem, mode] = out
-    return dirs
+    cfgs = {
+        (problem, mode): harness.ExperimentConfig(
+            problem=problem,
+            dim=PROTOCOL_DIM,
+            mode=mode,
+            out_dir=str(base / f"{problem}_{mode}"),
+            lam=PROTOCOL_LAM,
+            runs=PROTOCOL_RUNS,
+            seed=PROTOCOL_SEED,
+            budget=PROTOCOL_BUDGET,
+            target=PROTOCOL_TARGET,
+        )
+        for problem in benchmarks.PROBLEM_NAMES
+        for mode in harness.MODES
+    }
+    # the cells are independent experiments, so they run side by side in
+    # worker processes; the output bytes cannot tell. Spawned, not forked:
+    # the test process may hold BLAS threads.
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(os.cpu_count() or 1, mp_context=spawn) as pool:
+        list(pool.map(harness.run_experiment, cfgs.values()))
+    return {cell: Path(cfg.out_dir) for cell, cfg in cfgs.items()}
 
 
 def _csv_digest(*directories) -> str:

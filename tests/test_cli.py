@@ -175,6 +175,20 @@ def test_removed_flags_and_negative_seed_exit_one_before_writing(tmp_path, capsy
     assert not out.exists()
 
 
+def test_rerun_with_fewer_runs_refuses_stale_logs(tmp_path, capsys):
+    # run_002.csv of a 3-run experiment would be read by `plot` and `rates`
+    # as a third run of a 2-run rerun, so the rerun writes nothing
+    out = tmp_path / "out"
+    args = _run_args(out)
+    args[args.index("--runs") + 1] = "3"
+    assert cli.main(args) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert cli.main(_run_args(out)) == 1
+    assert "run_002.csv" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 def test_plot_malformed_log_exits_two_naming_the_file(tmp_path, capsys):
     a = tmp_path / "a"
     assert cli.main(_run_args(a)) == 0

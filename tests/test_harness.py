@@ -120,27 +120,6 @@ def test_single_run_matches_batch(tmp_path):
     assert alone.total_evals == batch[1].total_evals
 
 
-def test_worker_pool_output_identical(tmp_path, monkeypatch):
-    cfg_inline = _cfg(tmp_path, out_dir=str(tmp_path / "inline"))
-    sc.run_experiment(cfg_inline)
-    monkeypatch.setenv(harness.THREADS_ENV, "2")
-    cfg_pool = _cfg(tmp_path, out_dir=str(tmp_path / "pool"))
-    sc.run_experiment(cfg_pool)
-    for name in ("run_000.csv", "run_001.csv", "run_002.csv", "summary.csv"):
-        assert (tmp_path / "inline" / name).read_bytes() == (
-            tmp_path / "pool" / name
-        ).read_bytes(), name
-
-
-def test_threads_env_validation(tmp_path, monkeypatch):
-    monkeypatch.setenv(harness.THREADS_ENV, "zero")
-    with pytest.raises(ConfigError, match="SELFCMA_THREADS"):
-        sc.run_experiment(_cfg(tmp_path))
-    monkeypatch.setenv(harness.THREADS_ENV, "0")
-    with pytest.raises(ConfigError, match="SELFCMA_THREADS"):
-        sc.run_experiment(_cfg(tmp_path))
-
-
 def test_summary_evals_to_target_column(tmp_path):
     cfg = _cfg(tmp_path)
     reports = sc.run_experiment(cfg)

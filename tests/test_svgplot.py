@@ -9,6 +9,19 @@ from selfcma.errors import EmptyInput
 from selfcma.runlog import GenRecord, RunLog
 
 
+def _parse_extents(svg_text: str) -> dict[str, tuple[float, float]]:
+    """Read back the series extents that `emit_plot` embeds as metadata."""
+    start = svg_text.index('<metadata id="series-extents">')
+    start += len('<metadata id="series-extents">')
+    end = svg_text.index("</metadata>", start)
+    out: dict[str, tuple[float, float]] = {}
+    for item in svg_text[start:end].split(";"):
+        name, _, span = item.partition("=")
+        lo, _, hi = span.partition(":")
+        out[name] = (float(lo), float(hi))
+    return out
+
+
 def _log(n=30):
     recs = []
     for g in range(1, n + 1):
@@ -41,7 +54,7 @@ def test_extents_match_data(tmp_path):
     log = _log(25)
     path = tmp_path / "fig.svg"
     svgplot.emit_plot(log, path)
-    ext = svgplot.parse_extents(path.read_text())
+    ext = _parse_extents(path.read_text())
     assert ext["evals"] == (10.0, 250.0)
     c1 = [r.c1 for r in log.records]
     assert ext["c1"] == (min(c1), max(c1))
@@ -56,7 +69,7 @@ def test_nonpositive_best_f_is_floored(tmp_path):
     ]
     path = tmp_path / "fig.svg"
     svgplot.emit_plot(RunLog(recs), path)
-    ext = svgplot.parse_extents(path.read_text())
+    ext = _parse_extents(path.read_text())
     assert ext["log10_best_f"][0] == -300.0
     ET.parse(path)
 
@@ -72,7 +85,7 @@ def test_non_finite_best_f_is_left_out(tmp_path):
     path = tmp_path / "fig.svg"
     svgplot.emit_plot(RunLog(recs), path)
     ET.parse(path)
-    ext = svgplot.parse_extents(path.read_text())
+    ext = _parse_extents(path.read_text())
     assert ext["log10_best_f"] == (0.0, 2.0)
     assert ext["evals"] == (10.0, 30.0)
     best_f_line = [
