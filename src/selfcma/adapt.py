@@ -158,13 +158,12 @@ def init_search(rng: RngStream) -> RateSearch:
 def self_step(search: RateSearch, state: CmaState, advanced: CmaState) -> RateSearch:
     """One auxiliary generation after the primary went `state` -> `advanced`.
 
-    Samples DEFAULT_LAMBDA_H unit-box points, scores their decoded rate
-    triples in one `h_objective` call on the update that produced `state`,
-    ranking `advanced.last_pop` by its primary's selection size, and updates
-    the auxiliary on minus those scores. The primary is not touched; its
-    next rates are the returned `rates`.
+    Ask, evaluate, tell: samples DEFAULT_LAMBDA_H unit-box points, scores
+    their decoded rate triples in one `h_objective` call on the update that
+    produced `state`, ranking `advanced.last_pop` by its primary's selection
+    size, and updates the auxiliary on minus those scores. The primary is
+    not touched; its next rates are the returned `rates`.
     """
     u = core.sample_population(search.aux, search.rng)
     scores = h_objective(decode(u), state, advanced.last_pop, state.params.mu)
-    pop = EvaluatedPopulation.from_fitness(u, -scores)
-    return RateSearch(core.update_distribution(search.aux, pop), search.rng)
+    return RateSearch(core.update_distribution(search.aux, u, -scores), search.rng)

@@ -1,10 +1,11 @@
 """The (mu/mu_w, lambda) CMA-ES state machine.
 
-States are immutable values: `update_distribution` consumes a state plus an
-evaluated population and returns a fresh state. It records the rate-free
-terms of its covariance update on that state, so `covariance_update` can
-recompute the covariance half of the update under other learning rates,
-which is what the hyper-parameter adaptation layer scores.
+States are immutable values, stepped ask/tell style: `update_distribution`
+ranks the candidates `sample_population` drew by their fitness and returns
+a fresh state. It records the rate-free terms of its covariance update on
+that state, so `covariance_update` can recompute the covariance half of the
+update under other learning rates, which is what the hyper-parameter
+adaptation layer scores.
 """
 from __future__ import annotations
 
@@ -178,27 +179,9 @@ class EvaluatedPopulation:
     fitness: np.ndarray  # (lam,)
     order: np.ndarray  # (lam,) permutation of 0..lam-1
 
-    @classmethod
-    def from_fitness(cls, candidates, fitness) -> "EvaluatedPopulation":
-        candidates = np.asarray(candidates, dtype=float)
-        fitness = np.asarray(fitness, dtype=float)
-        if candidates.ndim != 2 or fitness.shape != (candidates.shape[0],):
-            raise DimensionMismatch(
-                f"candidates {candidates.shape} and fitness {fitness.shape} disagree"
-            )
-        if np.any(np.isnan(fitness)):
-            bad = int(np.flatnonzero(np.isnan(fitness))[0])
-            raise NonFiniteFitness(f"objective returned NaN for candidate {bad}")
-        order = np.argsort(fitness, kind="stable")
-        return cls(candidates=candidates, fitness=fitness, order=order)
-
     @property
     def lam(self) -> int:
         return self.candidates.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.candidates.shape[1]
 
     @property
     def best_fitness(self) -> float:
@@ -284,13 +267,15 @@ def sample_population(state: CmaState, rng: RngStream) -> np.ndarray:
 def covariance_update(
     terms: UpdateTerms, c_1, c_mu, c_c
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(path_c, raw unsymmetrized C) of the rank-one plus rank-mu update
-    recorded in `terms`, with the rates (c_1, c_mu, c_c).
+    """(path_c, C) of the rank-one plus rank-mu update recorded in `terms`,
+    with the rates (c_1, c_mu, c_c).
 
     The rates are floats, giving an (n,) path and an (n, n) matrix, or (k,)
     arrays, giving a (k, n) and a (k, n, n) stack with one entry per rate
     triple. Both take the same elementwise operations in the same order, so
     each stacked entry has the bits of a call with that triple's floats.
+    C is symmetrized before it is returned, so that floating-point drift
+    accumulated across many updates cannot leak into the eigenbasis.
     """
     c_c = _per_triple(c_c, 1)
     path_c = (1.0 - c_c) * terms.path_c + terms.h_sigma * np.sqrt(
@@ -302,7 +287,7 @@ def covariance_update(
         + c_1 * (path_c[..., :, None] * path_c[..., None, :])
         + c_mu * terms.rank_mu
     )
-    return path_c, cov
+    return path_c, linalg.symmetrize(cov)
 
 
 def _per_triple(rate, axes: int):
@@ -313,24 +298,34 @@ def _per_triple(rate, axes: int):
     return np.reshape(rate, (-1,) + (1,) * axes)
 
 
-def update_distribution(state: CmaState, pop: EvaluatedPopulation) -> CmaState:
-    """One full distribution update from an evaluated population.
+def update_distribution(state: CmaState, candidates, fitness) -> CmaState:
+    """One full distribution update from the (lam, n) candidates drawn from
+    `state` and their (lam,) fitness values, ranked into the new `last_pop`.
 
-    In order: weighted recombination of the mean, conjugate evolution path
-    and step-size update, the stall indicator h_sigma, and the covariance
-    update of `covariance_update`. The step-size path is whitened with the
-    inverse square root of the current (pre-update) covariance.
+    In order: a stable ascending sort of the fitness, weighted recombination
+    of the mean, conjugate evolution path and step-size update, the stall
+    indicator h_sigma, and the covariance update of `covariance_update`. The
+    step-size path is whitened with the inverse square root of the current
+    (pre-update) covariance.
 
     Raises:
+        DimensionMismatch: if the shapes are not (lam, n) and (lam,).
+        NonFiniteFitness: if any fitness value is NaN.
         NonFiniteState: if any updated field is NaN or infinite.
         NonPositiveDefinite: if the updated covariance is degenerate.
     """
     p = state.params
-    if pop.lam != p.lam or pop.n != p.n:
+    candidates = np.asarray(candidates, dtype=float)
+    fitness = np.asarray(fitness, dtype=float)
+    if candidates.shape != (p.lam, p.n) or fitness.shape != (p.lam,):
         raise DimensionMismatch(
-            f"population ({pop.lam}, {pop.n}) does not match params "
-            f"({p.lam}, {p.n})"
+            f"candidates {candidates.shape} and fitness {fitness.shape} do not "
+            f"match params (lam={p.lam}, n={p.n})"
         )
+    if np.any(np.isnan(fitness)):
+        bad = int(np.flatnonzero(np.isnan(fitness))[0])
+        raise NonFiniteFitness(f"objective returned NaN for candidate {bad}")
+    pop = EvaluatedPopulation(candidates, fitness, np.argsort(fitness, kind="stable"))
 
     selected = pop.candidates[pop.order[: p.mu]]
     new_mean = p.weights @ selected
@@ -375,7 +370,7 @@ def update_distribution(state: CmaState, pop: EvaluatedPopulation) -> CmaState:
         params=p,
         mean=new_mean,
         sigma=new_sigma,
-        cov=linalg.symmetrize(new_cov),
+        cov=new_cov,
         path_sigma=path_sigma,
         path_c=path_c,
         gen=t_next,
@@ -386,8 +381,7 @@ def update_distribution(state: CmaState, pop: EvaluatedPopulation) -> CmaState:
 
 
 def generation(objective, state: CmaState, rng: RngStream) -> CmaState:
-    """Sample, evaluate, rank, update: lam calls of `objective`."""
+    """Ask, evaluate (lam calls of `objective`, one per candidate), tell."""
     candidates = sample_population(state, rng)
-    fitness = np.array([float(objective(x)) for x in candidates])
-    pop = EvaluatedPopulation.from_fitness(candidates, fitness)
-    return update_distribution(state, pop)
+    fitness = [float(objective(x)) for x in candidates]
+    return update_distribution(state, candidates, fitness)

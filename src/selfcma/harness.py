@@ -188,7 +188,8 @@ def load_run_logs(directory) -> list[RunLog]:
     directory = Path(directory)
     if not directory.is_dir():
         raise ConfigError(f"{directory} is not a directory")
-    paths = sorted(directory.glob("run_*.csv"))
+    # run_NNN.csv pads to three digits only, so a longer name is a later run
+    paths = sorted(directory.glob("run_*.csv"), key=lambda p: (len(p.name), p.name))
     if not paths:
         raise EmptyInput(f"no run_*.csv files in {directory}")
     return [RunLog.from_csv(p) for p in paths]

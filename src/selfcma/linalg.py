@@ -3,9 +3,6 @@
 All routines operate on plain numpy arrays and assume the matrices involved
 are symmetric. Each takes one (n, n) matrix or a (..., n, n) stack, and a
 stacked call gives every matrix the bits a call on that matrix alone gives.
-`sym_eigen` symmetrizes its input before decomposing so that floating-point
-drift accumulated across many covariance updates cannot leak into the
-eigenbasis.
 """
 from __future__ import annotations
 
@@ -20,11 +17,16 @@ from .errors import DimensionMismatch, NonPositiveDefinite
 EIGEN_FLOOR = 1e-20
 
 
-def symmetrize(c: np.ndarray) -> np.ndarray:
-    """Return (C + C^T) / 2 as a new float array, for one matrix or a stack."""
+def _square(c) -> np.ndarray:
     c = np.asarray(c, dtype=float)
     if c.ndim < 2 or c.shape[-1] != c.shape[-2]:
         raise DimensionMismatch(f"expected square matrices, got shape {c.shape}")
+    return c
+
+
+def symmetrize(c: np.ndarray) -> np.ndarray:
+    """Return (C + C^T) / 2 as a new float array, for one matrix or a stack."""
+    c = _square(c)
     return (c + c.swapaxes(-1, -2)) / 2.0
 
 
@@ -50,8 +52,8 @@ class EigenDecomp:
 def sym_eigen(c: np.ndarray) -> EigenDecomp:
     """Eigendecompose a symmetric positive definite matrix, or a stack of them.
 
-    The input is symmetrized first, so callers may pass the raw result of an
-    additive update without worrying about last-bit asymmetry.
+    The input is not symmetrized here: `np.linalg.eigh` reads only its lower
+    triangle, so callers pass matrices that are symmetric bit for bit.
 
     Raises:
         NonPositiveDefinite: if any matrix has non-finite entries, a
@@ -59,7 +61,7 @@ def sym_eigen(c: np.ndarray) -> EigenDecomp:
             EIGEN_FLOOR. No caller catches it, so a degenerate covariance
             ends the run.
     """
-    c = symmetrize(c)
+    c = _square(c)
     if not np.isfinite(c).all():
         raise NonPositiveDefinite("matrix has non-finite entries")
     w, b = np.linalg.eigh(c)

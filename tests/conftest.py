@@ -39,7 +39,15 @@ def make_random_pop(state, seed):
     candidates = sc.sample_population(state, rng)
     anchor = state.mean + rng.standard_normal_matrix(1, state.params.n)[0]
     fitness = np.array([float(np.sum((x - anchor) ** 2)) for x in candidates])
-    return core.EvaluatedPopulation.from_fitness(candidates, fitness)
+    return ranked_pop(candidates, fitness)
+
+
+def ranked_pop(candidates, fitness):
+    """An EvaluatedPopulation ranked as `update_distribution` ranks one."""
+    fitness = np.asarray(fitness, dtype=float)
+    return core.EvaluatedPopulation(
+        candidates, fitness, np.argsort(fitness, kind="stable")
+    )
 
 
 def state_as_dict(state):

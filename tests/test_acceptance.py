@@ -138,7 +138,7 @@ def test_criterion_1_update_rule_matches_reference():
         n, lam = ((2, 4), (2, 6), (3, 4), (3, 6))[i % 4]
         state = make_random_state(seed=10_000 + i, n=n, lam=lam)
         pop = make_random_pop(state, seed=20_000 + i)
-        new = sc.update_distribution(state, pop)
+        new = sc.update_distribution(state, pop.candidates, pop.fitness)
         ref = reference_update(
             candidates=pop.candidates, fitness=pop.fitness, **state_as_dict(state)
         )
@@ -166,7 +166,7 @@ def test_criterion_2_rank_agreement_matches_brute_force():
         lam = 4 + i % 5
         state = make_random_state(seed=30_000 + i, n=n, lam=lam)
         pop_used = make_random_pop(state, seed=40_000 + i)
-        updated = sc.update_distribution(state, pop_used)
+        updated = sc.update_distribution(state, pop_used.candidates, pop_used.fitness)
         pop_new = make_random_pop(updated, seed=50_000 + i)
         rng = sc.RngStream(60_000 + i)
         mu_sel = rng.integers(1, lam + 1)
@@ -244,7 +244,7 @@ def test_criterion_3_invariance_suite():
     for i in range(10):
         state = make_random_state(seed=70_000 + i, n=3, lam=8)
         pop_used = make_random_pop(state, seed=71_000 + i)
-        updated = sc.update_distribution(state, pop_used)
+        updated = sc.update_distribution(state, pop_used.candidates, pop_used.fitness)
         pop_new = make_random_pop(updated, seed=72_000 + i)
         triple = [
             adapt.project_feasible(
@@ -262,9 +262,10 @@ def test_criterion_3_invariance_suite():
                 sigma=state.sigma / root,
                 path_c=state.path_c * root,
             )
-            (got,) = adapt.h_objective(
-                triple, sc.update_distribution(scaled, pop_used), pop_new, 4
+            replayed = sc.update_distribution(
+                scaled, pop_used.candidates, pop_used.fitness
             )
+            (got,) = adapt.h_objective(triple, replayed, pop_new, 4)
             assert got == base, f"instance {i}, scale {s}: {got!r} != {base!r}"
 
     # (c) inverting through the decomposition must reproduce the identity

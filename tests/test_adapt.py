@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import selfcma as sc
-from conftest import make_random_pop, make_random_state, state_as_dict
+from conftest import make_random_pop, make_random_state, ranked_pop, state_as_dict
 from reference_impl import reference_h
 from selfcma import adapt, core, linalg, restart
 from selfcma.errors import DimensionMismatch, NonPositiveDefinite
@@ -105,7 +105,7 @@ def test_h_objective_worked_example():
     # uniform weights: ranks are (2, 4, 3, 1) so h = (2 + 4) / 2 = 3.0
     state = make_random_state(seed=300, n=2, lam=4)
     pop_used = make_random_pop(state, seed=301)
-    updated = sc.update_distribution(state, pop_used)
+    updated = sc.update_distribution(state, pop_used.candidates, pop_used.fitness)
 
     inv_sqrt_c = sc.linalg.inv_sqrt(updated.eigen)
     basis_dirs = np.linalg.inv(inv_sqrt_c)  # unit Mahalanobis directions
@@ -114,7 +114,7 @@ def test_h_objective_worked_example():
     cands = np.stack(
         [updated.mean + d * (basis_dirs @ direction) for d in want_d]
     )
-    pop_new = core.EvaluatedPopulation.from_fitness(cands, [1.0, 2.0, 3.0, 4.0])
+    pop_new = ranked_pop(cands, [1.0, 2.0, 3.0, 4.0])
 
     rates = [[state.params.c_1, state.params.c_mu, state.params.c_c]]
     (h,) = adapt.h_objective(rates, updated, pop_new, 2)
@@ -125,7 +125,7 @@ def test_h_objective_bounds_and_extremes():
     # perfect agreement: the two best-by-fitness points are the two likeliest
     state = make_random_state(seed=310, n=2, lam=4)
     pop_used = make_random_pop(state, seed=311)
-    updated = sc.update_distribution(state, pop_used)
+    updated = sc.update_distribution(state, pop_used.candidates, pop_used.fitness)
     inv_sqrt_c = sc.linalg.inv_sqrt(updated.eigen)
     spread = np.linalg.inv(inv_sqrt_c)
     cands = np.stack(
@@ -133,10 +133,10 @@ def test_h_objective_bounds_and_extremes():
     )
     rates = [[state.params.c_1, state.params.c_mu, state.params.c_c]]
 
-    best_case = core.EvaluatedPopulation.from_fitness(cands, [1.0, 2.0, 3.0, 4.0])
+    best_case = ranked_pop(cands, [1.0, 2.0, 3.0, 4.0])
     assert adapt.h_objective(rates, updated, best_case, 2) == [3.5]
 
-    worst_case = core.EvaluatedPopulation.from_fitness(cands, [4.0, 3.0, 2.0, 1.0])
+    worst_case = ranked_pop(cands, [4.0, 3.0, 2.0, 1.0])
     assert adapt.h_objective(rates, updated, worst_case, 2) == [1.5]
 
 
@@ -153,7 +153,7 @@ def test_h_objective_matches_brute_force():
     for seed in range(25):
         state = make_random_state(seed=400 + seed, n=3, lam=8)
         pop_used = make_random_pop(state, seed=500 + seed)
-        updated = sc.update_distribution(state, pop_used)
+        updated = sc.update_distribution(state, pop_used.candidates, pop_used.fitness)
         pop_new = make_random_pop(updated, seed=600 + seed)
         rng = sc.RngStream(700 + seed)
         triple = adapt.project_feasible(*rng.uniform_vector(0.0, 0.6, 3))
@@ -184,7 +184,7 @@ def test_h_objective_degenerate_candidate_raises():
     # feasible candidate ends the stacked call, as it ends the run
     state = make_random_state(seed=460, n=2, lam=4)
     pop_used = make_random_pop(state, seed=461)
-    updated = sc.update_distribution(state, pop_used)
+    updated = sc.update_distribution(state, pop_used.candidates, pop_used.fitness)
     terms = dataclasses.replace(
         updated.terms, cov=np.diag([1.0, 1e-30]), path_c=np.zeros(2)
     )
@@ -212,7 +212,9 @@ def _replayed_score(h, prev_state, pop_used, pop_new, mu_sel):
     """The score from a full update of `prev_state` under the rates `h`."""
     params = prev_state.params.with_cov_rates(*h)
     replayed = sc.update_distribution(
-        dataclasses.replace(prev_state, params=params), pop_used
+        dataclasses.replace(prev_state, params=params),
+        pop_used.candidates,
+        pop_used.fitness,
     )
     inv_sqrt_c = linalg.inv_sqrt(replayed.eigen)
     distances = linalg.mahalanobis(pop_new.candidates, replayed.mean, inv_sqrt_c)

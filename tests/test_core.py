@@ -119,14 +119,15 @@ def test_with_cov_rates_replaces_only_rates():
 
 def test_covariance_update_stack_matches_float_calls():
     state = make_random_state(seed=90, n=4, lam=8)
-    updated = sc.update_distribution(state, make_random_pop(state, seed=91))
+    pop = make_random_pop(state, seed=91)
+    updated = sc.update_distribution(state, pop.candidates, pop.fitness)
     # the record holds the pre-update arrays themselves, not copies
     assert updated.terms.path_c is state.path_c and updated.terms.cov is state.cov
     # under the update's own rates it reproduces the update bit for bit
     p = state.params
     path, cov = core.covariance_update(updated.terms, p.c_1, p.c_mu, p.c_c)
     np.testing.assert_array_equal(path, updated.path_c)
-    np.testing.assert_array_equal(sc.linalg.symmetrize(cov), updated.cov)
+    np.testing.assert_array_equal(cov, updated.cov)
     rates = sc.RngStream(92).uniform_vector(0.0, 0.45, 3 * 7).reshape(7, 3)
     for h_sigma in (updated.terms.h_sigma, 0.0):
         terms = dataclasses.replace(updated.terms, h_sigma=h_sigma)
@@ -137,7 +138,7 @@ def test_covariance_update_stack_matches_float_calls():
             want_path = (1.0 - c_c) * state.path_c + terms.h_sigma * math.sqrt(
                 c_c * (2.0 - c_c)
             ) * math.sqrt(state.params.mu_w) * terms.step
-            want_cov = (
+            want_cov = sc.linalg.symmetrize(
                 (1.0 - c_1 - c_mu) * state.cov
                 + c_1 * np.outer(want_path, want_path)
                 + c_mu * terms.rank_mu
@@ -182,21 +183,24 @@ def test_sample_population_distribution_shape():
 
 
 def test_population_ordering_is_stable():
-    cands = np.zeros((4, 2))
-    pop = core.EvaluatedPopulation.from_fitness(cands, [3.0, 1.0, 3.0, 0.5])
+    state = make_random_state(seed=81, n=2, lam=4)
+    cands = sc.sample_population(state, sc.RngStream(82))
+    pop = sc.update_distribution(state, cands, [3.0, 1.0, 3.0, 0.5]).last_pop
     np.testing.assert_array_equal(pop.order, [3, 1, 0, 2])
     assert pop.best_fitness == 0.5
     assert pop.median_fitness == 1.0  # lower median of (0.5, 1, 3, 3)
 
 
 def test_population_rejects_nan_fitness():
-    with pytest.raises(NonFiniteFitness):
-        core.EvaluatedPopulation.from_fitness(np.zeros((2, 1)), [0.0, np.nan])
+    state = make_random_state(seed=83, n=1, lam=2)
+    with pytest.raises(NonFiniteFitness, match="candidate 1"):
+        sc.update_distribution(state, np.zeros((2, 1)), [0.0, np.nan])
 
 
 def test_population_accepts_inf_fitness():
-    pop = core.EvaluatedPopulation.from_fitness(np.zeros((2, 1)), [np.inf, 1.0])
-    assert pop.best_fitness == 1.0
+    state = make_random_state(seed=84, n=1, lam=2)
+    new = sc.update_distribution(state, np.zeros((2, 1)), [np.inf, 1.0])
+    assert new.last_pop.best_fitness == 1.0
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
@@ -204,7 +208,7 @@ def test_population_accepts_inf_fitness():
 def test_update_matches_reference(seed, n, lam):
     state = make_random_state(seed=1000 + seed, n=n, lam=lam)
     pop = make_random_pop(state, seed=2000 + seed)
-    new = sc.update_distribution(state, pop)
+    new = sc.update_distribution(state, pop.candidates, pop.fitness)
     ref = reference_update(
         candidates=pop.candidates, fitness=pop.fitness, **state_as_dict(state)
     )
@@ -224,16 +228,23 @@ def test_update_matches_reference(seed, n, lam):
 def test_update_advances_gen_and_stores_pop():
     state = make_random_state(seed=77, n=3, lam=6)
     pop = make_random_pop(state, seed=78)
-    new = sc.update_distribution(state, pop)
+    new = sc.update_distribution(state, pop.candidates, pop.fitness)
     assert new.gen == state.gen + 1
-    assert new.last_pop is pop
+    for field in ("candidates", "fitness", "order"):
+        np.testing.assert_array_equal(
+            getattr(new.last_pop, field), getattr(pop, field)
+        )
 
 
 def test_update_shape_mismatch():
     state = make_random_state(seed=79, n=3, lam=6)
     other = make_random_state(seed=79, n=4, lam=6)
+    pop = make_random_pop(other, seed=80)
     with pytest.raises(DimensionMismatch):
-        sc.update_distribution(state, make_random_pop(other, seed=80))
+        sc.update_distribution(state, pop.candidates, pop.fitness)
+    pop = make_random_pop(state, seed=80)
+    with pytest.raises(DimensionMismatch):
+        sc.update_distribution(state, pop.candidates, pop.fitness[:5])
 
 
 @given(seed=st.integers(0, 10**6))
@@ -241,7 +252,7 @@ def test_update_shape_mismatch():
 def test_update_invariants(seed):
     state = make_random_state(seed=seed, n=4, lam=8)
     pop = make_random_pop(state, seed=seed + 1)
-    new = sc.update_distribution(state, pop)
+    new = sc.update_distribution(state, pop.candidates, pop.fitness)
     assert new.sigma > 0
     np.testing.assert_array_equal(new.cov, new.cov.T)
     assert np.all(new.eigen.eigenvalues > 0)
@@ -273,6 +284,12 @@ def test_generation_deterministic_per_stream():
 
     a = core.generation(objective, state, sc.RngStream(93))
     b = core.generation(objective, state, sc.RngStream(93))
-    np.testing.assert_array_equal(a.mean, b.mean)
-    assert a.sigma == b.sigma
-    np.testing.assert_array_equal(a.cov, b.cov)
+    # the same generation as an ask/tell loop on the exported names
+    rng = sc.RngStream(93)
+    X = sc.sample_population(state, rng)
+    c = sc.update_distribution(state, X, [objective(x) for x in X])
+    for other in (b, c):
+        np.testing.assert_array_equal(a.mean, other.mean)
+        assert a.sigma == other.sigma
+        np.testing.assert_array_equal(a.cov, other.cov)
+    np.testing.assert_array_equal(a.last_pop.order, c.last_pop.order)

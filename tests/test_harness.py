@@ -169,3 +169,12 @@ def test_load_run_logs_errors(tmp_path):
     empty.mkdir()
     with pytest.raises(EmptyInput):
         harness.load_run_logs(empty)
+
+
+def test_load_run_logs_orders_by_run_index_past_999(tmp_path):
+    # a plain name sort puts run_1000.csv before run_101.csv
+    for index in (999, 1000, 101):
+        record = runlog.GenRecord(index, 1, 0.0, 0.0, 1.0, 0.1, 0.2, 0.3)
+        runlog.RunLog([record]).to_csv(tmp_path / harness.run_name(index))
+    logs = harness.load_run_logs(tmp_path)
+    assert [log.records[0].gen for log in logs] == [101, 999, 1000]

@@ -70,7 +70,7 @@ def _random_covs(seed, k, n):
     for _ in range(k):
         basis = rng.random_rotation(n)
         eigs = 10.0 ** rng.uniform_vector(-2, 2, n)
-        # an unsymmetrized update result: last-bit asymmetry included
+        # last-bit asymmetry included: eigh reads only the lower triangle
         covs.append((basis * eigs) @ basis.T)
     return np.stack(covs)
 

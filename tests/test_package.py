@@ -41,11 +41,19 @@ def test_exports_are_the_documented_api():
 
 
 def test_readme_example_runs(tmp_path, monkeypatch, capsys):
-    # the "Python API" code block, run as written in an empty directory
-    (code,) = re.findall(r"```python\n(.*?)```", _api_section(), re.S)
+    # every "Python API" code block, each run as written in an empty directory
+    blocks = re.findall(r"```python\n(.*?)```", _api_section(), re.S)
+    assert len(blocks) == 2
     monkeypatch.chdir(tmp_path)
-    exec(compile(code, str(README), "exec"), {})
-    assert capsys.readouterr().out.split()[1:] == ["target_hit", "0"]
+    outputs = []
+    for code in blocks:
+        exec(compile(code, str(README), "exec"), {})
+        outputs.append(capsys.readouterr().out.split())
+    ipop_out, ask_tell_out = outputs
+    assert ipop_out[1:] == ["target_hit", "0"]
     last = RunLog.from_csv(tmp_path / "run.csv").records[-1]
     assert last.best_f <= 1e-8
     assert last.stop_reason == "target_hit"
+    # the ask/tell loop ran its 300 generations down to the sphere's optimum
+    gens, best = ask_tell_out
+    assert int(gens) == 300 and float(best) <= 1e-8
