@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,11 +50,16 @@ def expected_norm(n: int) -> float:
 class StrategyParams:
     """Scalar hyper-parameters of one CMA-ES instance.
 
+    Only `n` and `lam` are given; the rest follow from them with the usual
+    cumulation and rank-based update constants, and only `with_cov_rates`
+    changes the three covariance rates afterwards.
+
     Attributes:
         n: search-space dimension.
         lam: population size (number of candidates per generation).
-        mu: number of selected parents.
-        weights: (mu,) positive recombination weights, non-increasing, sum 1.
+        mu: number of selected parents, floor(lam / 2).
+        weights: (mu,) log-linear recombination weights
+            w_i ~ ln(mu + 1/2) - ln(i), positive, non-increasing, sum 1.
         mu_w: variance-effective selection mass, 1 / sum(weights^2).
         c_sigma: step-size path learning rate, in (0, 1].
         d_sigma: step-size damping, > 0.
@@ -66,105 +71,70 @@ class StrategyParams:
 
     n: int
     lam: int
-    mu: int
-    weights: np.ndarray
-    mu_w: float
-    c_sigma: float
-    d_sigma: float
-    c_c: float
-    c_1: float
-    c_mu: float
+    mu: int = field(init=False)
+    weights: np.ndarray = field(init=False)
+    mu_w: float = field(init=False)
+    c_sigma: float = field(init=False)
+    d_sigma: float = field(init=False)
+    c_c: float = field(init=False)
+    c_1: float = field(init=False)
+    c_mu: float = field(init=False)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InvalidDimension(f"n must be >= 1, got {self.n}")
-        if self.lam < 2:
-            raise InvalidLambda(f"lam must be >= 2, got {self.lam}")
-        if not 1 <= self.mu <= self.lam:
-            raise InvalidLambda(f"mu must lie in [1, lam], got mu={self.mu}")
-        w = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "weights", w)
-        if w.shape != (self.mu,):
-            raise DimensionMismatch(f"weights shape {w.shape} != ({self.mu},)")
-        if np.any(w <= 0.0):
-            raise ValueError("recombination weights must be strictly positive")
-        if np.any(np.diff(w) > 0.0):
-            raise ValueError("recombination weights must be non-increasing")
-        if abs(float(w.sum()) - 1.0) > 1e-12:
-            raise ValueError(f"weights must sum to 1, got {float(w.sum())!r}")
-        if not 0.0 < self.c_sigma <= 1.0:
-            raise ValueError(f"c_sigma must lie in (0, 1], got {self.c_sigma}")
-        if not self.d_sigma > 0.0:
-            raise ValueError(f"d_sigma must be > 0, got {self.d_sigma}")
-        _check_cov_rates(self.c_1, self.c_mu, self.c_c)
+        n, lam = self.n, self.lam
+        if n < 1:
+            raise InvalidDimension(f"n must be >= 1, got {n}")
+        if lam < 2:
+            raise InvalidLambda(f"lam must be >= 2, got {lam}")
+        mu = lam // 2
+        raw = math.log(mu + 0.5) - np.log(np.arange(1, mu + 1, dtype=float))
+        weights = raw / raw.sum()
+        mu_w = 1.0 / float(np.sum(weights**2))
+        c_sigma = (mu_w + 2.0) / (n + mu_w + 3.0)
+        d_sigma = 1.0 + c_sigma + 2.0 * max(
+            0.0, math.sqrt((mu_w - 1.0) / (n + 1.0)) - 1.0
+        )
+        c_c = 4.0 / (n + 4.0)
+        c_1 = 2.0 / ((n + 1.3) ** 2 + mu_w)
+        # Cap keeps the covariance decay factor non-negative for any (n, lam);
+        # it only binds for very large populations in very low dimension.
+        c_mu = min(
+            1.0 - c_1,
+            2.0 * (mu_w - 2.0 + 1.0 / mu_w) / ((n + 2.0) ** 2 + mu_w),
+        )
+        self.__dict__.update(
+            mu=mu,
+            weights=weights,
+            mu_w=mu_w,
+            c_sigma=c_sigma,
+            d_sigma=d_sigma,
+            c_c=c_c,
+            c_1=c_1,
+            c_mu=c_mu,
+        )
 
     def with_cov_rates(self, c_1: float, c_mu: float, c_c: float) -> "StrategyParams":
         """Copy of these parameters with the three covariance rates replaced.
 
-        Only the new rates are checked; the other fields were checked when
-        these parameters were built.
+        Raises:
+            ValueError: unless c_c lies in [0, 1], c_1 and c_mu are >= 0 and
+                c_1 + c_mu <= 1.
         """
-        rates = {"c_1": float(c_1), "c_mu": float(c_mu), "c_c": float(c_c)}
-        _check_cov_rates(**rates)
+        c_1, c_mu, c_c = float(c_1), float(c_mu), float(c_c)
+        if not 0.0 <= c_c <= 1.0:
+            raise ValueError(f"c_c must lie in [0, 1], got {c_c}")
+        if c_1 < 0.0 or c_mu < 0.0:
+            raise ValueError("c_1 and c_mu must be >= 0")
+        if c_1 + c_mu > 1.0:
+            raise ValueError(f"c_1 + c_mu must be <= 1, got {c_1 + c_mu}")
         copied = copy.copy(self)
-        copied.__dict__.update(rates)
+        copied.__dict__.update(c_1=c_1, c_mu=c_mu, c_c=c_c)
         return copied
 
 
-def _check_cov_rates(c_1: float, c_mu: float, c_c: float) -> None:
-    if not 0.0 <= c_c <= 1.0:
-        raise ValueError(f"c_c must lie in [0, 1], got {c_c}")
-    if c_1 < 0.0 or c_mu < 0.0:
-        raise ValueError("c_1 and c_mu must be >= 0")
-    if c_1 + c_mu > 1.0:
-        raise ValueError(f"c_1 + c_mu must be <= 1, got {c_1 + c_mu}")
-
-
-def default_weights(mu: int) -> np.ndarray:
-    """Log-linear recombination weights w_i ~ ln(mu + 1/2) - ln(i), normalized."""
-    if mu < 1:
-        raise InvalidLambda(f"mu must be >= 1, got {mu}")
-    raw = math.log(mu + 0.5) - np.log(np.arange(1, mu + 1, dtype=float))
-    return raw / raw.sum()
-
-
 def default_params(n: int, lam: int | None = None) -> StrategyParams:
-    """Standard parameter set for dimension n.
-
-    lam defaults to 4 + floor(3 ln n); mu is floor(lam / 2); the remaining
-    scalars follow the usual cumulation and rank-based update constants.
-    """
-    if lam is None:
-        lam = default_lambda(n)
-    if lam < 2:
-        raise InvalidLambda(f"lam must be >= 2, got {lam}")
-    mu = lam // 2
-    weights = default_weights(mu)
-    mu_w = 1.0 / float(np.sum(weights**2))
-    c_sigma = (mu_w + 2.0) / (n + mu_w + 3.0)
-    d_sigma = 1.0 + c_sigma + 2.0 * max(
-        0.0, math.sqrt((mu_w - 1.0) / (n + 1.0)) - 1.0
-    )
-    c_c = 4.0 / (n + 4.0)
-    c_1 = 2.0 / ((n + 1.3) ** 2 + mu_w)
-    # Cap keeps the covariance decay factor non-negative for any (n, lam);
-    # it only binds for very large populations in very low dimension.
-    c_mu = min(
-        1.0 - c_1,
-        2.0 * (mu_w - 2.0 + 1.0 / mu_w) / ((n + 2.0) ** 2 + mu_w),
-    )
-    return StrategyParams(
-        n=n,
-        lam=lam,
-        mu=mu,
-        weights=weights,
-        mu_w=mu_w,
-        c_sigma=c_sigma,
-        d_sigma=d_sigma,
-        c_c=c_c,
-        c_1=c_1,
-        c_mu=c_mu,
-    )
+    """Standard parameter set for dimension n; lam defaults to 4 + floor(3 ln n)."""
+    return StrategyParams(n, default_lambda(n) if lam is None else lam)
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,7 +15,7 @@ from . import benchmarks, restart
 from .errors import ConfigError, EmptyInput, MalformedLog
 from .restart import MODES, RestartReport
 from .rng import RngStream
-from .runlog import RunLog, format_float, lower_median
+from .runlog import TYPE_CODECS, RunLog, format_float, lower_median
 
 SUMMARY_NAME = "summary.csv"
 CONFIG_NAME = "config.txt"
@@ -50,6 +50,8 @@ class ExperimentConfig:
             raise ConfigError(f"dim: must be >= 2, got {self.dim}")
         if self.mode not in MODES:
             raise ConfigError(f"mode: expected one of {MODES}, got {self.mode!r}")
+        if not self.out_dir:
+            raise ConfigError("out_dir: must not be empty")
         if self.lam < 2:
             raise ConfigError(f"lam: must be >= 2, got {self.lam}")
         if self.runs < 1:
@@ -65,20 +67,14 @@ class ExperimentConfig:
         """The config as flat key=value lines (one field per line)."""
         lines = []
         for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
-            if isinstance(value, float):
-                value = format_float(value)
-            lines.append(f"{field.name}={value}")
+            fmt = TYPE_CODECS[field.type][0]
+            lines.append(f"{field.name}={fmt(getattr(self, field.name))}")
         return "\n".join(lines) + "\n"
-
-
-# Annotation (a string: this module defers evaluation) -> parser of its values.
-_PARSERS = {"int": int, "float": float, "str": str}
 
 
 def field_parser(field: dataclasses.Field):
     """The parser of a config field's values."""
-    return _PARSERS[field.type]
+    return TYPE_CODECS[field.type][1]
 
 
 def parse_config_text(text: str) -> dict:

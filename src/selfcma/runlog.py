@@ -50,13 +50,14 @@ class GenRecord:
         return cls(*[parse(part) for parse, part in zip(_PARSERS, parts)])
 
 
-# Field type (an annotation string: this module defers evaluation) ->
-# (CSV cell formatter, CSV cell parser).
-_TYPE_CODECS = {"int": (str, int), "float": (format_float, float), "str": (str, str)}
+# Dataclass field type (an annotation string, since the modules that read it
+# defer evaluation) -> (formatter to text, parser from text). The CSV cells
+# here and `harness`'s config.txt values and CLI flags all go through it.
+TYPE_CODECS = {"int": (str, int), "float": (format_float, float), "str": (str, str)}
 _FIELDS = dataclasses.fields(GenRecord)
 CSV_COLUMNS = tuple(f.name for f in _FIELDS)
 CSV_HEADER = ",".join(CSV_COLUMNS)
-_FORMATS, _PARSERS = zip(*[_TYPE_CODECS[f.type] for f in _FIELDS])
+_FORMATS, _PARSERS = zip(*[TYPE_CODECS[f.type] for f in _FIELDS])
 # Numeric column -> the dtype of its array.
 _DTYPES = {
     name: np.int64 if parse is int else float

@@ -83,10 +83,15 @@ def test_config_file_supplies_defaults_cli_wins(tmp_path, capsys):
     assert "seed=17" in (tmp_path / "cli_out" / "config.txt").read_text()
 
 
-def test_missing_required_field_is_config_error(tmp_path, capsys):
+def test_missing_required_field_is_config_error(tmp_path, capsys, monkeypatch):
     code = cli.main(["run", "--problem", "sphere", "--dim", "4", "--mode", "plain"])
     assert code == 1
     assert "out_dir" in capsys.readouterr().err
+    # an empty out_dir would write the logs into the working directory
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(_run_args("")) == 1
+    assert "out_dir: must not be empty" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unknown_flag_and_bad_value_exit_one(tmp_path, capsys):

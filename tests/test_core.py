@@ -46,7 +46,7 @@ def test_default_lambda_values():
 
 
 def test_default_weights_mu2_frozen():
-    w = core.default_weights(2)
+    w = sc.default_params(10, 4).weights  # mu = 2
     np.testing.assert_allclose(
         w, [0.8041628599327295, 0.19583714006727054], rtol=1e-15
     )
@@ -85,21 +85,33 @@ def test_expected_norm_frozen_values():
 
 
 def test_params_validation():
-    good = sc.default_params(4, 8)
+    with pytest.raises(InvalidLambda):
+        core.StrategyParams(4, 1)
+    with pytest.raises(InvalidDimension):
+        core.StrategyParams(0, 8)
     with pytest.raises(InvalidLambda):
         sc.default_params(4, 1)
-    with pytest.raises(ValueError):
-        dataclasses.replace(good, c_1=0.8, c_mu=0.4)  # sum over 1
-    with pytest.raises(ValueError):
-        dataclasses.replace(good, weights=good.weights * 2.0)
-    with pytest.raises(ValueError):
-        dataclasses.replace(good, weights=good.weights[::-1].copy())
-    with pytest.raises(ValueError):
-        dataclasses.replace(good, c_sigma=0.0)
+    # n and lam are the only settable fields; the rest follow from them
+    settable = [f.name for f in dataclasses.fields(core.StrategyParams) if f.init]
+    assert settable == ["n", "lam"]
+    good = sc.default_params(4, 8)
+    derived = {
+        "mu": 2,
+        "weights": good.weights[::-1].copy(),
+        "mu_w": 1.0,
+        "c_sigma": 0.0,
+        "d_sigma": 1.0,
+        "c_c": 0.0,
+        "c_1": 0.8,
+        "c_mu": 0.4,
+    }
+    for name, value in derived.items():
+        with pytest.raises(ValueError):
+            dataclasses.replace(good, **{name: value})
     # a zero path rate holds the path; the rate search can project c_c to 0
-    assert dataclasses.replace(good, c_c=0.0).c_c == 0.0
+    assert good.with_cov_rates(good.c_1, good.c_mu, 0.0).c_c == 0.0
     with pytest.raises(ValueError):
-        dataclasses.replace(good, c_c=-1e-12)
+        good.with_cov_rates(good.c_1, good.c_mu, -1e-12)
 
 
 def test_with_cov_rates_replaces_only_rates():

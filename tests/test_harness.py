@@ -37,6 +37,8 @@ def test_config_validation_names_offending_field(tmp_path):
         _cfg(tmp_path, lam=1)
     with pytest.raises(ConfigError, match="target"):
         _cfg(tmp_path, target=math.nan)
+    with pytest.raises(ConfigError, match="out_dir: must not be empty"):
+        _cfg(tmp_path, out_dir="")
 
 
 def test_config_text_roundtrip(tmp_path):
