@@ -7,9 +7,11 @@ update under the candidate rates, all candidates in one stacked
 computation, and measuring how well the newest population's fitness
 ranking agrees with its likelihood ranking under the resulting
 distribution: good rates put the best individuals where the density is
-highest. The auxiliary optimizer's mean, decoded and projected back into
-the feasible region, gives the primary optimizer's rates; the segment loop
-in `restart` injects them after every auxiliary step.
+highest. Only the ranks of the distances count, so the score whitens
+through a Cholesky factor and never takes a square root. The auxiliary
+optimizer's mean, decoded and projected back into the feasible region,
+gives the primary optimizer's rates; the segment loop in `restart` injects
+them after every auxiliary step.
 """
 from __future__ import annotations
 
@@ -95,17 +97,17 @@ def h_objective(
 
     For each feasible triple, recomputes the covariance half of the update
     that produced `state` under its rates, from the record `state.terms`,
-    all triples in one stacked computation. Then ranks `pop_new` by
-    Mahalanobis distance from `state.mean` under that covariance (largest
-    distance = rank 1, so likelier points get larger rank numbers) and
-    scores the mean rank of the mu_sel best-by-fitness candidates. Larger
-    is better; the maximum is attained when the fitness winners are exactly
-    the likeliest points. Infeasible triples score minus their constraint
-    penalty. Returns the (k,) scores.
+    all triples in one stacked computation. Then ranks `pop_new` by squared
+    Mahalanobis distance from `state.mean` under that covariance, through
+    `linalg.whitener` (largest distance = rank 1, so likelier points get
+    larger rank numbers), and scores the mean rank of the mu_sel
+    best-by-fitness candidates. Larger is better; the maximum is attained
+    when the fitness winners are exactly the likeliest points. Infeasible
+    triples score minus their constraint penalty. Returns the (k,) scores.
 
     Raises:
         NonPositiveDefinite: if any feasible triple's covariance is
-            degenerate.
+            degenerate by `linalg.sym_eigen`'s rule.
     """
     triples = np.asarray(triples, dtype=float)
     if triples.ndim != 2 or triples.shape[1] != AUX_DIM:
@@ -118,14 +120,14 @@ def h_objective(
         return scores
     c_1, c_mu, c_c = triples[feasible].T
     _, cov = core.covariance_update(state.terms, c_1, c_mu, c_c)
-    inv_sqrt_c = linalg.inv_sqrt(linalg.sym_eigen(cov))
-    distances = linalg.mahalanobis(pop_new.candidates, state.mean, inv_sqrt_c)
-    top = pop_new.order[:mu_sel]
-    # one 1-D sum per triple: a 2-D sum over axis 1 adds in another order
-    scores[feasible] = [
-        np.add.reduce(ranks[top] * (1.0 / mu_sel))
-        for ranks in descending_ranks(distances)
-    ]
+    y = (pop_new.candidates - state.mean) @ linalg.whitener(cov).swapaxes(-1, -2)
+    # squared distances rank like distances, and no root merges near-ties
+    ranks = descending_ranks(np.add.reduce(y * y, axis=-1))
+    # fancy indexing returns a non-contiguous array, whose axis-1 sum adds in
+    # another order; on C-contiguous rows each row sums pairwise, bit for bit
+    # like a 1-D sum of that row
+    top = np.ascontiguousarray(ranks[:, pop_new.order[:mu_sel]])
+    scores[feasible] = np.add.reduce(top * (1.0 / mu_sel), axis=1)
     return scores
 
 

@@ -100,6 +100,30 @@ def test_descending_ranks_worked_example():
     )
 
 
+def test_contiguous_rank_rows_sum_like_one_row_at_a_time():
+    # h_objective sums every rank row in one axis-1 reduce; on C-contiguous
+    # rows it matches the per-row 1-D sum bit for bit, mu_sel > 128 included
+    # (where numpy's pairwise sum recurses). The non-contiguous result of
+    # fancy indexing sums in another order, which is why the copy is made.
+    rng = np.random.default_rng(3)
+    noncontiguous_mismatches = recursing = 0
+    for _ in range(300):
+        k, lam = int(rng.integers(2, 25)), int(rng.integers(2, 800))
+        mu_sel = int(rng.integers(2, lam + 1))
+        recursing += mu_sel > 128
+        ranks = adapt.descending_ranks(rng.standard_normal((k, lam)))
+        top = rng.permutation(lam)[:mu_sel]
+        want = [np.add.reduce(row[top] * (1.0 / mu_sel)) for row in ranks]
+        got = np.add.reduce(np.ascontiguousarray(ranks[:, top]) * (1.0 / mu_sel), axis=1)
+        np.testing.assert_array_equal(got, want)
+        strided = ranks[:, top]
+        assert not strided.flags.c_contiguous
+        noncontiguous_mismatches += np.sum(
+            np.add.reduce(strided * (1.0 / mu_sel), axis=1) != want
+        )
+    assert noncontiguous_mismatches > 0 and recursing > 0
+
+
 def test_h_objective_worked_example():
     # distances (2.0, 0.5, 1.0, 3.0) indexed by fitness rank, mu_sel=2,
     # uniform weights: ranks are (2, 4, 3, 1) so h = (2 + 4) / 2 = 3.0
@@ -217,7 +241,8 @@ def _replayed_score(h, prev_state, pop_used, pop_new, mu_sel):
         pop_used.fitness,
     )
     inv_sqrt_c = linalg.inv_sqrt(replayed.eigen)
-    distances = linalg.mahalanobis(pop_new.candidates, replayed.mean, inv_sqrt_c)
+    # the eigen path h_objective replaced: distances, not squares
+    distances = np.linalg.norm((pop_new.candidates - replayed.mean) @ inv_sqrt_c, axis=-1)
     ranks = adapt.descending_ranks(distances)
     return float(np.sum(ranks[pop_new.order[:mu_sel]] * (1.0 / mu_sel)))
 
