@@ -1,4 +1,5 @@
 """SVG chart emission: well-formed XML, correct extents, stable bytes."""
+import hashlib
 import math
 import xml.etree.ElementTree as ET
 
@@ -127,6 +128,48 @@ def test_emit_is_byte_deterministic(tmp_path):
     svgplot.emit_plot(_log(), a, title="t")
     svgplot.emit_plot(_log(), b, title="t")
     assert a.read_bytes() == b.read_bytes()
+
+
+def _long_log():
+    """1000 records whose first seven have an inf best_f: markers every 25th
+    record, left-out best-f points and right-axis ticks four decades apart."""
+    recs = []
+    for g in range(1, 1001):
+        best = math.inf if g <= 7 else 10.0 ** (12 - 0.03 * g)
+        recs.append(
+            GenRecord(
+                g, 100 * g, best, best, 0.5,
+                0.02 + 0.0004 * (g % 97), 0.3 - 0.0002 * g, 0.8 / (1 + 0.01 * g),
+            )
+        )
+    return RunLog(recs)
+
+
+@pytest.mark.parametrize(
+    "log, title, digest",
+    [
+        (
+            _log(),
+            "median of 15 runs <&>",
+            "2c63fb9f962cf6e7580f358962e9132b932a2b0b412d4cf8014f38e762c7ba3a",
+        ),
+        (
+            RunLog([GenRecord(1, 10, 1.0, 1.0, 1, 0.1, 0.2, 0.3)]),
+            "",
+            "4f8485bbb6e01d2a299109059b3043cd5844fbf335099eb2bb5e5b3a6bfe1a85",
+        ),
+        (
+            _long_log(),
+            "",
+            "2ea273d6b29884848a0cac3bd3212719a13301f6ace43e6b1d168d800a4a3e43",
+        ),
+    ],
+    ids=["titled", "single-record", "long-with-inf"],
+)
+def test_emit_plot_bytes_are_pinned(tmp_path, log, title, digest):
+    path = tmp_path / "fig.svg"
+    svgplot.emit_plot(log, path, title=title)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_empty_log_rejected(tmp_path):
