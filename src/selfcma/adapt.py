@@ -43,13 +43,6 @@ def decode(u) -> np.ndarray:
     return BOX_HIGH * u
 
 
-def is_feasible(triples) -> np.ndarray:
-    """Which rows of a (..., 3) triple array lie in the feasible set."""
-    h = np.asarray(triples, dtype=float)
-    in_box = np.all((0.0 <= h) & (h <= BOX_HIGH), axis=-1)
-    return in_box & (h[..., 0] + h[..., 1] <= BOX_HIGH)
-
-
 def penalty(triples) -> np.ndarray:
     """PENALTY_SCALE times each row's total constraint violation; 0 iff feasible.
 
@@ -115,7 +108,9 @@ def h_objective(
     if not 1 <= mu_sel <= pop_new.lam:
         raise DimensionMismatch(f"mu_sel={mu_sel} must lie in [1, {pop_new.lam}]")
     scores = -penalty(triples)
-    feasible = is_feasible(triples)
+    # a sum of max(0, .) terms is 0 exactly when every bound holds; a NaN
+    # row compares unequal and stays infeasible
+    feasible = scores == 0
     if not feasible.any():
         return scores
     c_1, c_mu, c_c = triples[feasible].T

@@ -16,6 +16,9 @@ from .errors import DimensionMismatch, NonPositiveDefinite
 
 # Eigenvalues at or below EIGEN_FLOOR times the largest eigenvalue indicate a
 # collapsed sampling distribution. They are reported as an error, not clamped.
+# eigh resolves eigenvalues only to about n * eps * lambda_max, far coarser
+# than this floor, so for a rotated (non-diagonal) matrix with cond between
+# ~1e15 and 1e20 the verdict follows the rounding, not the spectrum.
 EIGEN_FLOOR = 1e-20
 
 # tr(C) tr(C^-1) >= cond(C), so a matrix whose product lies below

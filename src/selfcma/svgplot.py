@@ -13,7 +13,7 @@ from pathlib import Path
 from xml.sax.saxutils import escape
 
 from .adapt import BOX_HIGH
-from .errors import EmptyInput
+from .errors import EmptyInput, MalformedLog
 from .runlog import RunLog, format_float
 
 WIDTH = 900
@@ -23,11 +23,11 @@ MARGIN_RIGHT = 84
 MARGIN_TOP = 46
 MARGIN_BOTTOM = 58
 
-# series name, record column, stroke color, marker shape
+# record column, stroke color, marker shape
 RATE_SERIES = (
-    ("c1", "c1", "#1b6ca8", "circle"),
-    ("cmu", "cmu", "#c0392b", "square"),
-    ("cc", "cc", "#2e8b57", "triangle"),
+    ("c1", "#1b6ca8", "circle"),
+    ("cmu", "#c0392b", "square"),
+    ("cc", "#2e8b57", "triangle"),
 )
 BEST_F_COLOR = "#444444"
 
@@ -40,27 +40,21 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
-def _x_mapper(evals):
-    lo, hi = float(min(evals)), float(max(evals))
+def _mapper(lo: float, hi: float, origin: float, span: float):
+    """Map [lo, hi] linearly onto origin .. origin + span pixels (a y axis has
+    a negative span); returns the map and [lo, hi], a flat one widened by 1."""
     if hi <= lo:
         lo, hi = lo - 1.0, hi + 1.0
-    span = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
 
     def to_px(v: float) -> float:
-        return MARGIN_LEFT + (v - lo) / (hi - lo) * span
+        return origin + (v - lo) / (hi - lo) * span
 
     return to_px, lo, hi
 
 
-def _y_mapper(lo: float, hi: float):
-    if hi <= lo:
-        lo, hi = lo - 1.0, hi + 1.0
-    span = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
-
-    def to_px(v: float) -> float:
-        return HEIGHT - MARGIN_BOTTOM - (v - lo) / (hi - lo) * span
-
-    return to_px
+def _line(x1, y1, x2, y2, style='stroke="#888888"') -> str:
+    """Coordinates go in as given: pixel floats through `_fmt`, frame ints bare."""
+    return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" {style}/>'
 
 
 def _polyline(points, color: str, width: float = 1.6) -> str:
@@ -85,25 +79,13 @@ def _marker(shape: str, x: float, y: float, color: str) -> str:
     )
 
 
-def _text(x, y, s, anchor="middle", size=12, color="#222222", rotate=None):
+def _text(x, y, s, anchor="middle", size=12, rotate=None):
     transform = f' transform="rotate({rotate} {_fmt(x)} {_fmt(y)})"' if rotate else ""
     return (
         f'<text x="{_fmt(x)}" y="{_fmt(y)}" text-anchor="{anchor}" '
-        f'font-family="sans-serif" font-size="{size}" fill="{color}"{transform}>'
+        f'font-family="sans-serif" font-size="{size}" fill="#222222"{transform}>'
         f"{escape(s)}</text>"
     )
-
-
-def _nice_ticks(lo: float, hi: float, max_ticks: int = 8) -> list[float]:
-    """Integer tick positions covering [lo, hi] with at most max_ticks labels."""
-    lo_i, hi_i = math.floor(lo), math.ceil(hi)
-    step = max(1, math.ceil((hi_i - lo_i) / max_ticks))
-    return [float(v) for v in range(lo_i, hi_i + 1, step)]
-
-
-def log10_best_f(log: RunLog) -> list[float]:
-    """log10 of each record's best fitness, floored at LOG_FLOOR."""
-    return [math.log10(max(r.best_f, LOG_FLOOR)) for r in log.records]
 
 
 def emit_plot(log: RunLog, path, title: str = "") -> None:
@@ -113,47 +95,48 @@ def emit_plot(log: RunLog, path, title: str = "") -> None:
     the best objective value seen so far, at the records where it is finite
     (an objective that returns inf for a whole generation leaves an inf
     best). Markers are thinned so that long runs stay readable.
+
+    Raises:
+        EmptyInput: if the log is empty or has no finite best_f.
+        MalformedLog: naming the column and generation of a non-finite rate.
     """
     if len(log) == 0:
         raise EmptyInput("cannot plot an empty run log")
+    rates = {}
+    for column, _, _ in RATE_SERIES:
+        rates[column] = [getattr(r, column) for r in log.records]
+        for r, v in zip(log.records, rates[column]):
+            if not math.isfinite(v):
+                raise MalformedLog(f"cannot plot {column} = {v} at generation {r.gen}")
     evals = [r.evals for r in log.records]
-    x_of, x_lo, x_hi = _x_mapper(evals)
-    rate_y = _y_mapper(0.0, BOX_HIGH)
-    best = [(e, v) for e, v in zip(evals, log10_best_f(log)) if math.isfinite(v)]
+    logf = (math.log10(max(r.best_f, LOG_FLOOR)) for r in log.records)
+    best = [(e, v) for e, v in zip(evals, logf) if math.isfinite(v)]
     if not best:
         raise EmptyInput("cannot plot a run log with no finite best_f")
     fvals = [v for _, v in best]
     f_lo, f_hi = math.floor(min(fvals)), math.ceil(max(fvals))
-    f_y = _y_mapper(float(f_lo), float(f_hi))
 
-    stride = max(1, len(evals) // 40)
-    plot_bottom = HEIGHT - MARGIN_BOTTOM
-    plot_right = WIDTH - MARGIN_RIGHT
+    plot_bottom, plot_right = HEIGHT - MARGIN_BOTTOM, WIDTH - MARGIN_RIGHT
+    x_of, x_lo, x_hi = _mapper(
+        float(min(evals)), float(max(evals)), MARGIN_LEFT, plot_right - MARGIN_LEFT
+    )
+    y_span = MARGIN_TOP - plot_bottom
+    rate_y = _mapper(0.0, BOX_HIGH, plot_bottom, y_span)[0]
+    f_y = _mapper(float(f_lo), float(f_hi), plot_bottom, y_span)[0]
 
+    extents = [
+        f"evals={format_float(x_lo)}:{format_float(x_hi)}",
+        f"log10_best_f={format_float(min(fvals))}:{format_float(max(fvals))}",
+    ] + [f"{c}={format_float(min(s))}:{format_float(max(s))}" for c, s in rates.items()]
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
         f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+        '<metadata id="series-extents">' + ";".join(extents) + "</metadata>",
     ]
-
-    extents = [
-        f"evals={format_float(x_lo)}:{format_float(x_hi)}",
-        f"log10_best_f={format_float(min(fvals))}:{format_float(max(fvals))}",
-    ]
-    for name, column, _, _ in RATE_SERIES:
-        series = [getattr(r, column) for r in log.records]
-        extents.append(
-            f"{name}={format_float(min(series))}:{format_float(max(series))}"
-        )
-    parts.append(
-        '<metadata id="series-extents">' + ";".join(extents) + "</metadata>"
-    )
-
     if title:
         parts.append(_text(WIDTH / 2, MARGIN_TOP - 22, title, size=15))
-
-    # axes frame
     parts.append(
         f'<rect x="{MARGIN_LEFT}" y="{MARGIN_TOP}" '
         f'width="{plot_right - MARGIN_LEFT}" height="{plot_bottom - MARGIN_TOP}" '
@@ -161,71 +144,47 @@ def emit_plot(log: RunLog, path, title: str = "") -> None:
     )
 
     # x ticks: five evenly spaced evaluation counts
-    for i in range(5):
-        v = x_lo + (x_hi - x_lo) * i / 4
+    for v in (x_lo + (x_hi - x_lo) * i / 4 for i in range(5)):
         px = x_of(v)
-        parts.append(
-            f'<line x1="{_fmt(px)}" y1="{plot_bottom}" x2="{_fmt(px)}" '
-            f'y2="{plot_bottom + 5}" stroke="#888888"/>'
-        )
+        parts.append(_line(_fmt(px), plot_bottom, _fmt(px), plot_bottom + 5))
         parts.append(_text(px, plot_bottom + 20, str(int(round(v)))))
     parts.append(_text((MARGIN_LEFT + plot_right) / 2, HEIGHT - 14, "evaluations"))
 
-    # left ticks: the rate scale in steps of 0.1
-    tick = 0.0
-    while tick <= BOX_HIGH + 1e-9:
-        py = rate_y(tick)
-        parts.append(
-            f'<line x1="{MARGIN_LEFT - 5}" y1="{_fmt(py)}" x2="{MARGIN_LEFT}" '
-            f'y2="{_fmt(py)}" stroke="#888888"/>'
-        )
-        parts.append(_text(MARGIN_LEFT - 9, py + 4, f"{tick:.1f}", anchor="end"))
-        tick += 0.1
-    parts.append(
-        _text(18, (MARGIN_TOP + plot_bottom) / 2, "learning rate", rotate=-90)
-    )
-
-    # right ticks: integer log10 levels
-    for v in _nice_ticks(f_lo, f_hi):
-        py = f_y(v)
-        parts.append(
-            f'<line x1="{plot_right}" y1="{_fmt(py)}" x2="{plot_right + 5}" '
-            f'y2="{_fmt(py)}" stroke="#888888"/>'
-        )
-        parts.append(_text(plot_right + 9, py + 4, f"{v:.0f}", anchor="start"))
-    parts.append(
-        _text(
-            WIDTH - 16,
-            (MARGIN_TOP + plot_bottom) / 2,
-            "log10 best f",
-            rotate=90,
-        )
-    )
+    # y ticks: the rate scale in steps of 0.1 on the left, integer log10
+    # levels (at most 8 labels) on the right; then each axis's title
+    f_step = max(1, math.ceil((f_hi - f_lo) / 8))
+    mid_y = (MARGIN_TOP + plot_bottom) / 2
+    for x0, label_dx, anchor, to_py, ticks, digits, name, name_x, rotate in (
+        (MARGIN_LEFT - 5, -4, "end", rate_y, [i / 10 for i in range(10)], 1,
+         "learning rate", 18, -90),
+        (plot_right, 9, "start", f_y, range(f_lo, f_hi + 1, f_step), 0,
+         "log10 best f", WIDTH - 16, 90),
+    ):
+        for v in ticks:
+            py = to_py(v)
+            parts.append(_line(x0, _fmt(py), x0 + 5, _fmt(py)))
+            parts.append(_text(x0 + label_dx, py + 4, f"{v:.{digits}f}", anchor=anchor))
+        parts.append(_text(name_x, mid_y, name, rotate=rotate))
 
     # best-f curve on the right axis
-    f_points = [(x_of(e), f_y(v)) for e, v in best]
-    parts.append(_polyline(f_points, BEST_F_COLOR, width=1.2))
+    parts.append(_polyline([(x_of(e), f_y(v)) for e, v in best], BEST_F_COLOR, 1.2))
 
     # rate curves with thinned markers on the left axis
-    for name, column, color, shape in RATE_SERIES:
-        series = [getattr(r, column) for r in log.records]
-        points = [(x_of(e), rate_y(v)) for e, v in zip(evals, series)]
+    stride = max(1, len(evals) // 40)
+    for column, color, shape in RATE_SERIES:
+        points = [(x_of(e), rate_y(v)) for e, v in zip(evals, rates[column])]
         parts.append(_polyline(points, color))
-        for k in range(0, len(points), stride):
-            parts.append(_marker(shape, points[k][0], points[k][1], color))
+        parts += [_marker(shape, x, y, color) for x, y in points[::stride]]
 
     # legend across the top
     legend_x = MARGIN_LEFT
-    for name, _, color, shape in RATE_SERIES:
+    for column, color, shape in RATE_SERIES:
         parts.append(_marker(shape, legend_x, MARGIN_TOP - 10, color))
-        parts.append(_text(legend_x + 10, MARGIN_TOP - 6, name, anchor="start"))
+        parts.append(_text(legend_x + 10, MARGIN_TOP - 6, column, anchor="start"))
         legend_x += 70
-    parts.append(
-        f'<line x1="{legend_x}" y1="{MARGIN_TOP - 10}" x2="{legend_x + 22}" '
-        f'y2="{MARGIN_TOP - 10}" stroke="{BEST_F_COLOR}" stroke-width="1.2"/>'
-    )
+    parts.append(_line(legend_x, MARGIN_TOP - 10, legend_x + 22, MARGIN_TOP - 10,
+                       f'stroke="{BEST_F_COLOR}" stroke-width="1.2"'))
     parts.append(_text(legend_x + 28, MARGIN_TOP - 6, "best f", anchor="start"))
 
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n")
-

@@ -5,7 +5,17 @@ import numpy as np
 import pytest
 
 import selfcma as sc
-from selfcma import core, linalg
+from selfcma import adapt, core, linalg
+
+
+def in_rate_box(c_1, c_mu, c_c):
+    """Whether a rate triple lies in the feasible set, bound by bound."""
+    return (
+        0.0 <= c_1 <= adapt.BOX_HIGH
+        and 0.0 <= c_mu <= adapt.BOX_HIGH
+        and 0.0 <= c_c <= adapt.BOX_HIGH
+        and c_1 + c_mu <= adapt.BOX_HIGH
+    )
 
 
 def make_random_state(seed, n, lam, cond_exp=1.5, gen_max=30):

@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import selfcma as sc
-from conftest import make_random_pop, make_random_state, ranked_pop, state_as_dict
+from conftest import (
+    in_rate_box,
+    make_random_pop,
+    make_random_state,
+    ranked_pop,
+    state_as_dict,
+)
 from reference_impl import reference_h
 from selfcma import adapt, core, linalg, restart
 from selfcma.errors import DimensionMismatch, NonPositiveDefinite
@@ -37,18 +43,10 @@ def test_decode_maps_unit_box_to_rate_box(u):
 @given(t=st.lists(triples, min_size=1, max_size=6))
 @settings(max_examples=100, deadline=None)
 def test_penalty_positive_iff_infeasible(t):
-    h = np.array(t)
-    feasible = adapt.is_feasible(h)
-    penalty = adapt.penalty(h)
-    assert feasible.shape == penalty.shape == (len(t),)
-    for (c_1, c_mu, c_c), ok, v in zip(t, feasible, penalty):
-        assert ok == (
-            0.0 <= c_1 <= adapt.BOX_HIGH
-            and 0.0 <= c_mu <= adapt.BOX_HIGH
-            and 0.0 <= c_c <= adapt.BOX_HIGH
-            and c_1 + c_mu <= adapt.BOX_HIGH
-        )
-        if ok:
+    penalty = adapt.penalty(np.array(t))
+    assert penalty.shape == (len(t),)
+    for triple, v in zip(t, penalty):
+        if in_rate_box(*triple):
             assert v == 0.0
         else:
             assert v > 0.0
@@ -69,7 +67,7 @@ def test_penalty_rows_are_the_scalar_left_to_right_sum(t):
 @settings(max_examples=100, deadline=None)
 def test_projection_lands_in_feasible_set(t):
     proj = adapt.project_feasible(*t)
-    assert adapt.is_feasible([proj])[0]
+    assert in_rate_box(*proj)
     assert adapt.penalty([proj])[0] == 0.0
 
 
@@ -167,10 +165,11 @@ def test_h_objective_bounds_and_extremes():
 def test_h_objective_penalizes_infeasible_without_replay():
     state = make_random_state(seed=320, n=2, lam=4)
     pop = make_random_pop(state, seed=321)
-    bad = [[0.6, 0.6, 0.2]]  # joint sum 1.2 > 0.9
-    (got,) = adapt.h_objective(bad, state, pop, 2)
-    assert got == -adapt.penalty(bad)[0]
-    assert got <= -1e9 * 0.29
+    bad = [[0.6, 0.6, 0.2], [np.nan, 0.1, 0.1]]  # joint sum 1.2 > 0.9; a NaN
+    got = adapt.h_objective(bad, state, pop, 2)
+    np.testing.assert_array_equal(got, -adapt.penalty(bad))
+    assert got[0] <= -1e9 * 0.29
+    assert np.isnan(got[1])
 
 
 def test_h_objective_matches_brute_force():
@@ -264,8 +263,8 @@ def test_h_objective_matches_the_full_update_on_a_real_segment():
         triples += [rng.uniform_vector(-0.1, 0.95, 3) for _ in range(6)]
         triples = np.array(triples)
         scores = adapt.h_objective(triples, state, advanced.last_pop, mu_sel)
-        for h, got, ok in zip(triples, scores, adapt.is_feasible(triples)):
-            if ok:
+        for h, got in zip(triples, scores):
+            if in_rate_box(*h):
                 feasible += 1
                 want = _replayed_score(
                     h, prev_state, state.last_pop, advanced.last_pop, mu_sel

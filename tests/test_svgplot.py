@@ -1,4 +1,5 @@
 """SVG chart emission: well-formed XML, correct extents, stable bytes."""
+import dataclasses
 import hashlib
 import math
 import xml.etree.ElementTree as ET
@@ -6,7 +7,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from selfcma import svgplot
-from selfcma.errors import EmptyInput
+from selfcma.errors import EmptyInput, MalformedLog
 from selfcma.runlog import GenRecord, RunLog
 
 
@@ -104,6 +105,18 @@ def test_no_finite_best_f_rejected(tmp_path, best_f):
     assert not (tmp_path / "fig.svg").exists()
 
 
+@pytest.mark.parametrize("column", ["c1", "cmu", "cc"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_rate_rejected_before_writing(tmp_path, column, bad):
+    # a non-finite rate has no pixel position; the chart would carry "nan"
+    recs = [GenRecord(g, 10 * g, 1.0, 1.0, 1, 0.1, 0.2, 0.3) for g in (1, 2, 3, 4)]
+    for g in (3, 4):
+        recs[g - 1] = dataclasses.replace(recs[g - 1], **{column: bad})
+    with pytest.raises(MalformedLog, match=f"{column} = {bad} at generation 3$"):
+        svgplot.emit_plot(RunLog(recs), tmp_path / "fig.svg")
+    assert not (tmp_path / "fig.svg").exists()
+
+
 def test_single_record_log_does_not_degenerate(tmp_path):
     path = tmp_path / "fig.svg"
     svgplot.emit_plot(RunLog([GenRecord(1, 10, 1.0, 1.0, 1, 0.1, 0.2, 0.3)]), path)
@@ -117,7 +130,7 @@ def test_all_series_present_with_markers(tmp_path):
     svgplot.emit_plot(_log(), path)
     body = path.read_text()
     assert body.count("<polyline") == 4  # three rates plus best f
-    for _, _, color, _ in svgplot.RATE_SERIES:
+    for _, color, _ in svgplot.RATE_SERIES:
         assert color in body
     assert "<circle" in body and "<rect" in body and "<path" in body
     assert body.count("<text") >= 10
