@@ -5,8 +5,9 @@ agreement score) to independent straight-line oracles. Criterion 3 covers
 the invariance properties the design leans on. Criterion 4 is a baseline
 convergence check, 5-7 are behavioral claims about the adapted learning
 rates measured on a shared benchmark protocol, and 8 is byte-level
-determinism of the command line. The protocol grid's bytes, and those of
-one short restarting run, are pinned to recorded digests.
+determinism of the command line. The protocol grid's bytes, those of one
+short restarting run and those of one short n=40 self-adaptive run are
+pinned to recorded digests.
 
 The shared protocol (criteria 5-7) runs every problem in both modes once
 per session: dimension 10, population 100, 15 runs, seed 42, budget
@@ -49,8 +50,9 @@ RATIO_CAPS = (
 )
 
 
-# sha256 of each protocol cell's CSVs (see _csv_digest), and of the short
-# restarting run's two modes, as recorded on PINNED_ON. A change that moves
+# sha256 of each protocol cell's CSVs (see _csv_digest), of the short
+# restarting run's two modes and of the short n=40 run, as recorded on
+# PINNED_ON. A change that moves
 # output on purpose updates them and says why.
 PINNED_ON = "numpy 2.4.6, scipy-openblas 0.3.31.188.0"
 PROTOCOL_DIGESTS = {
@@ -72,6 +74,7 @@ PROTOCOL_DIGESTS = {
         "e0dbcea2b1f00ddcf418257ab0837f75965f906c86b52f3ef73048cce1d37674",
 }
 RESTART_DIGEST = "1313b400951150edbf79f4c622d820fc93fb9c35c1d7bbe44fd9730275e09e1a"
+N40_DIGEST = "8edcbe5f8716a0e483f4389121da91aa548d9ca495ac5d5ea082ab93e363f98b"
 
 
 @pytest.fixture(scope="session")
@@ -398,6 +401,24 @@ def test_restarting_run_bytes_are_pinned(tmp_path):
     assert _csv_digest(*dirs) == RESTART_DIGEST, _moved(["sphere restart run"])
     elapsed = time.perf_counter() - start
     assert elapsed < 2.0, f"two restarting runs took {elapsed:.2f}s"
+
+
+def test_n40_self_adaptive_run_bytes_are_pinned(tmp_path):
+    # the protocol grid is n=10; this pins rate scoring where the rank-mu
+    # matrix is rank-deficient (mu = 7 < n = 40)
+    cfg = harness.ExperimentConfig(
+        problem="ellipsoid",
+        dim=40,
+        mode="self_adaptive",
+        out_dir=str(tmp_path),
+        lam=15,
+        runs=1,
+        seed=42,
+        budget=1500,
+        target=PROTOCOL_TARGET,
+    )
+    harness.run_experiment(cfg)
+    assert _csv_digest(tmp_path) == N40_DIGEST, _moved(["n=40 ellipsoid run"])
 
 
 def test_criterion_8_cli_reruns_byte_identical(tmp_path):
