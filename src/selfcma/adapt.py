@@ -2,24 +2,26 @@
 
 A second, 3-dimensional CMA-ES searches over the triple (c_1, c_mu, c_c) in
 a normalized unit box; a population of triples is a (k, 3) array. Each
-candidate triple is scored by recomputing the covariance half of the last
-update under the candidate rates, all candidates in one stacked
-computation, and measuring how well the newest population's fitness
-ranking agrees with its likelihood ranking under the resulting
-distribution: good rates put the best individuals where the density is
-highest. Only the ranks of the distances count, so the score whitens
-through a Cholesky factor and never takes a square root. The auxiliary
-optimizer's mean, decoded and projected back into the feasible region,
-gives the primary optimizer's rates; the segment loop in `restart` injects
-them after every auxiliary step.
+candidate triple is scored by how well the newest population's fitness
+ranking agrees with its likelihood ranking under the covariance the last
+update would have produced with the candidate rates: good rates put the
+best individuals where the density is highest. Every candidate covariance
+is a weighted sum of the old covariance, one rank-mu matrix and a rank-one
+term, so one eigenbasis shared by all candidates, with Sherman-Morrison for
+the rank-one term, gives every candidate's distances without forming its
+covariance. Only the ranks of the distances count, so the score never
+takes a square root. The auxiliary optimizer's mean, decoded and projected
+back into the feasible region, gives the primary optimizer's rates; the
+segment loop in `restart` injects them after every auxiliary step.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import core, linalg
+from . import core
 from .core import CmaState, EvaluatedPopulation
 from .errors import DimensionMismatch
 from .rng import RngStream
@@ -88,19 +90,19 @@ def h_objective(
 ) -> np.ndarray:
     """Rank-agreement scores of a (k, 3) array of learning-rate triples.
 
-    For each feasible triple, recomputes the covariance half of the update
-    that produced `state` under its rates, from the record `state.terms`,
-    all triples in one stacked computation. Then ranks `pop_new` by squared
-    Mahalanobis distance from `state.mean` under that covariance, through
-    `linalg.whitener` (largest distance = rank 1, so likelier points get
-    larger rank numbers), and scores the mean rank of the mu_sel
-    best-by-fitness candidates. Larger is better; the maximum is attained
-    when the fitness winners are exactly the likeliest points. Infeasible
-    triples score minus their constraint penalty. Returns the (k,) scores.
-
-    Raises:
-        NonPositiveDefinite: if any feasible triple's covariance is
-            degenerate by `linalg.sym_eigen`'s rule.
+    Each feasible triple's covariance is that of the update which produced
+    `state`, recomputed under its rates from the record `state.terms`:
+    C_k = a_k C0 + c_mu R + c_1 p p^T, with a_k = 1 - c_1 - c_mu, the old
+    covariance C0, the rank-mu matrix R and the triple's path p. One basis
+    V with V^T C0 V = I and V^T R V = diag(d), built from C0's stored
+    eigenbasis, diagonalizes a_k C0 + c_mu R for every triple at once, and
+    Sherman-Morrison adds the rank-one term; no C_k is ever formed. The
+    squared Mahalanobis distances of `pop_new` from `state.mean` rank it
+    (largest distance = rank 1, so likelier points get larger rank
+    numbers), and the score is the mean rank of the mu_sel best-by-fitness
+    candidates. Larger is better; the maximum is attained when the fitness
+    winners are exactly the likeliest points. Infeasible triples score
+    minus their constraint penalty. Returns the (k,) scores.
     """
     triples = np.asarray(triples, dtype=float)
     if triples.ndim != 2 or triples.shape[1] != AUX_DIM:
@@ -114,10 +116,22 @@ def h_objective(
     if not feasible.any():
         return scores
     c_1, c_mu, c_c = triples[feasible].T
-    _, cov = core.covariance_update(state.terms, c_1, c_mu, c_c)
-    y = (pop_new.candidates - state.mean) @ linalg.whitener(cov).swapaxes(-1, -2)
-    # squared distances rank like distances, and no root merges near-ties
-    ranks = descending_ranks(np.add.reduce(y * y, axis=-1))
+    t = state.terms
+    s = t.eigen.basis / np.sqrt(t.eigen.eigenvalues)
+    # eigh, not sym_eigen: R is only semidefinite when mu < n
+    d, q = np.linalg.eigh(s.T @ t.rank_mu @ s)
+    v = s @ q
+    z = (pop_new.candidates - state.mean) @ v
+    beta = t.h_sigma * np.sqrt(c_c * (2.0 - c_c)) * math.sqrt(t.mu_w)
+    u = np.outer(1.0 - c_c, t.path_c @ v) + np.outer(beta, t.step @ v)
+    inv_d = 1.0 / ((1.0 - c_1 - c_mu)[:, None] + c_mu[:, None] * d)
+    u_d = u * inv_d
+    # (lambda, k) squared distances; they rank like distances, and no root
+    # merges near-ties
+    dist = (z * z) @ inv_d.T - c_1 * (z @ u_d.T) ** 2 / (
+        1.0 + c_1 * np.add.reduce(u * u_d, axis=1)
+    )
+    ranks = descending_ranks(dist.T)
     # fancy indexing returns a non-contiguous array, whose axis-1 sum adds in
     # another order; on C-contiguous rows each row sums pairwise, bit for bit
     # like a 1-D sum of that row

@@ -167,10 +167,13 @@ class EvaluatedPopulation:
 @dataclass(frozen=True, eq=False)
 class UpdateTerms:
     """What a covariance update reads besides its rates. It holds the pre-update
-    `path_c` and `cov`, not that state, so states do not chain in memory."""
+    `path_c`, `cov` and `eigen` by reference, not that state, so states do not
+    chain in memory; `eigen` is the decomposition `sym_eigen` accepted when the
+    pre-update state was built, which rate scoring whitens through."""
 
     path_c: np.ndarray  # (n,) pre-update covariance path
     cov: np.ndarray  # (n, n) pre-update covariance
+    eigen: EigenDecomp  # eigenbasis of the pre-update covariance
     mu_w: float  # variance-effective selection mass
     step: np.ndarray  # (n,) mean shift over the pre-update step-size
     h_sigma: float  # stall indicator, 1.0 or 0.0
@@ -235,37 +238,23 @@ def sample_population(state: CmaState, rng: RngStream) -> np.ndarray:
 
 
 def covariance_update(
-    terms: UpdateTerms, c_1, c_mu, c_c
+    terms: UpdateTerms, c_1: float, c_mu: float, c_c: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """(path_c, C) of the rank-one plus rank-mu update recorded in `terms`,
     with the rates (c_1, c_mu, c_c).
 
-    The rates are floats, giving an (n,) path and an (n, n) matrix, or (k,)
-    arrays, giving a (k, n) and a (k, n, n) stack with one entry per rate
-    triple. Both take the same elementwise operations in the same order, so
-    each stacked entry has the bits of a call with that triple's floats.
     C is symmetrized before it is returned, so that floating-point drift
     accumulated across many updates cannot leak into the eigenbasis.
     """
-    c_c = _per_triple(c_c, 1)
-    path_c = (1.0 - c_c) * terms.path_c + terms.h_sigma * np.sqrt(
+    path_c = (1.0 - c_c) * terms.path_c + terms.h_sigma * math.sqrt(
         c_c * (2.0 - c_c)
     ) * math.sqrt(terms.mu_w) * terms.step
-    c_1, c_mu = _per_triple(c_1, 2), _per_triple(c_mu, 2)
     cov = (
         (1.0 - c_1 - c_mu) * terms.cov
-        + c_1 * (path_c[..., :, None] * path_c[..., None, :])
+        + c_1 * np.outer(path_c, path_c)
         + c_mu * terms.rank_mu
     )
     return path_c, linalg.symmetrize(cov)
-
-
-def _per_triple(rate, axes: int):
-    """A float rate as it is; a (k,) array of rates with `axes` unit axes
-    appended, so entry i scales row i of a (k, ...) stack."""
-    if not getattr(rate, "ndim", 0):
-        return rate
-    return np.reshape(rate, (-1,) + (1,) * axes)
 
 
 def update_distribution(state: CmaState, candidates, fitness) -> CmaState:
@@ -318,7 +307,9 @@ def update_distribution(state: CmaState, candidates, fitness) -> CmaState:
 
     steps = (selected - state.mean) / state.sigma
     rank_mu = (steps.T * p.weights) @ steps
-    terms = UpdateTerms(state.path_c, state.cov, p.mu_w, step, h_sigma, rank_mu)
+    terms = UpdateTerms(
+        state.path_c, state.cov, state.eigen, p.mu_w, step, h_sigma, rank_mu
+    )
     path_c, new_cov = covariance_update(terms, p.c_1, p.c_mu, p.c_c)
 
     new_sigma = state.sigma * math.exp(

@@ -47,7 +47,13 @@ class GenRecord:
         parts = row.split(",")
         if len(parts) != len(CSV_COLUMNS):
             raise ValueError(f"expected {len(CSV_COLUMNS)} fields, got {len(parts)}")
-        return cls(*[parse(part) for parse, part in zip(_PARSERS, parts)])
+        values = [parse(part) for parse, part in zip(_PARSERS, parts)]
+        for name, value in zip(CSV_COLUMNS, values):
+            # only NaN is unequal to itself; it has no place in a sorted
+            # column, where inf (an objective may return it) has one
+            if value != value:
+                raise ValueError(f"{name} is nan at generation {values[0]}")
+        return cls(*values)
 
 
 # Dataclass field type (an annotation string, since the modules that read it

@@ -74,7 +74,7 @@ PROTOCOL_DIGESTS = {
         "e0dbcea2b1f00ddcf418257ab0837f75965f906c86b52f3ef73048cce1d37674",
 }
 RESTART_DIGEST = "1313b400951150edbf79f4c622d820fc93fb9c35c1d7bbe44fd9730275e09e1a"
-N40_DIGEST = "8edcbe5f8716a0e483f4389121da91aa548d9ca495ac5d5ea082ab93e363f98b"
+N40_DIGEST = "3516871685d15ae8afea6854b7019a68cb887cd8b3d1c6ba2def6a728a2c3349"
 
 
 @pytest.fixture(scope="session")

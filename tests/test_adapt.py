@@ -201,24 +201,82 @@ def test_h_objective_mu_sel_too_large():
             adapt.h_objective([[0.1, 0.1, 0.1]], state, pop, mu_sel)
 
 
-def test_h_objective_degenerate_candidate_raises():
-    # a collapsed old covariance that only a rank-mu term fills back in:
-    # the candidate with c_mu = 0 keeps it degenerate, and that one
-    # feasible candidate ends the stacked call, as it ends the run
+def _ranked_distances(monkeypatch, triples, state, pop_new):
+    """The (k_feasible, lam) squared distances `h_objective` ranks."""
+    seen = []
+    ranks = adapt.descending_ranks
+    monkeypatch.setattr(
+        adapt, "descending_ranks", lambda v: seen.append(np.array(v)) or ranks(v)
+    )
+    scores = adapt.h_objective(triples, state, pop_new, pop_new.lam // 2)
+    monkeypatch.undo()
+    (dist,) = seen
+    return scores, dist
+
+
+def _solved_distances(triple, state, pop_new):
+    """Squared distances under the triple's explicit covariance, by a solve."""
+    _, cov = core.covariance_update(state.terms, *triple)
+    x = pop_new.candidates - state.mean
+    return np.sum(x * np.linalg.solve(cov, x.T).T, axis=1)
+
+
+# the box edges: c_1 = 0, c_mu = 0, c_c = 0, c_1 + c_mu = BOX_HIGH (also with
+# c_mu = 0), and no update at all
+EDGE_TRIPLES = [
+    [0.0, 0.3, 0.5],
+    [0.3, 0.0, 0.5],
+    [0.2, 0.3, 0.0],
+    [0.4, 0.5, 0.7],
+    [0.9, 0.0, 0.9],
+    [0.0, 0.0, 0.0],
+]
+
+
+def test_h_objective_matches_a_direct_solve(monkeypatch):
+    # mu < n makes the rank-mu matrix singular at (10, 8) and (40, 15)
+    for seed, (n, lam) in enumerate(((2, 6), (10, 8), (10, 30), (40, 15))):
+        state = make_random_state(seed=470 + seed, n=n, lam=lam)
+        pop_used = make_random_pop(state, seed=480 + seed)
+        updated = sc.update_distribution(state, pop_used.candidates, pop_used.fitness)
+        assert np.linalg.matrix_rank(updated.terms.rank_mu) == min(n, lam // 2)
+        pop_new = make_random_pop(updated, seed=490 + seed)
+        rng = sc.RngStream(500 + seed)
+        drawn = [rng.uniform_vector(0.0, 0.6, 3) for _ in range(4)]
+        interior = [adapt.project_feasible(*t) for t in drawn]
+        triples = np.array(EDGE_TRIPLES + interior)
+        for h_sigma in (0.0, 1.0):
+            terms = dataclasses.replace(updated.terms, h_sigma=h_sigma)
+            replayed = dataclasses.replace(updated, terms=terms)
+            _, dist = _ranked_distances(monkeypatch, triples, replayed, pop_new)
+            want = [_solved_distances(t, replayed, pop_new) for t in triples]
+            np.testing.assert_allclose(dist, want, rtol=1e-10, err_msg=f"n={n}")
+
+
+def test_h_objective_needs_only_an_accepted_old_covariance(monkeypatch):
+    # a collapsed old covariance never reaches the scorer: it is refused
+    # where it is decomposed, as it ends the run
+    with pytest.raises(NonPositiveDefinite, match="is degenerate"):
+        linalg.sym_eigen(np.diag([1.0, 1e-30]))
+    # an accepted but ill-conditioned one scores finitely, even under the
+    # triple (0, 0, 0.5) that keeps it unchanged, and ranks as a solve does
     state = make_random_state(seed=460, n=2, lam=4)
     pop_used = make_random_pop(state, seed=461)
     updated = sc.update_distribution(state, pop_used.candidates, pop_used.fitness)
+    cov = np.diag([1.0, 1e-12])
     terms = dataclasses.replace(
-        updated.terms, cov=np.diag([1.0, 1e-30]), path_c=np.zeros(2)
+        updated.terms, cov=cov, eigen=linalg.sym_eigen(cov), path_c=np.zeros(2)
     )
-    collapsed = dataclasses.replace(updated, terms=terms)
+    ill = dataclasses.replace(updated, terms=terms)
     pop_new = make_random_pop(updated, seed=462)
-    healthy = [[0.1, 0.3, 0.5], [0.2, 0.2, 0.2]]
-    scores = adapt.h_objective(healthy, collapsed, pop_new, 2)
-    assert np.all(scores >= 1.5)
-    stack = healthy[:1] + [[0.0, 0.0, 0.5]] + healthy[1:]
-    with pytest.raises(NonPositiveDefinite, match="matrix 1 of the stack"):
-        adapt.h_objective(stack, collapsed, pop_new, 2)
+    triples = [[0.1, 0.3, 0.5], [0.0, 0.0, 0.5], [0.2, 0.2, 0.2]]
+    scores, dist = _ranked_distances(monkeypatch, triples, ill, pop_new)
+    assert np.all(np.isfinite(scores)) and np.all(scores >= 1.5)
+    for row, triple in zip(dist, triples):
+        np.testing.assert_array_equal(
+            adapt.descending_ranks(row),
+            adapt.descending_ranks(_solved_distances(triple, ill, pop_new)),
+        )
 
 
 def _sphere(x):

@@ -223,12 +223,14 @@ def test_plot_without_a_finite_best_f_exits_two(tmp_path, capsys):
 def test_plot_with_a_nan_rate_exits_two(tmp_path, capsys):
     rows = [GenRecord(g, 8 * g, 1.0 / g, 1.0, 2.0, 0.1, 0.2, 0.3) for g in (1, 2, 3)]
     rows[1] = dataclasses.replace(rows[1], cc=math.nan)
-    RunLog(rows).to_csv(tmp_path / "run_000.csv")
-    assert "nan" in (tmp_path / "run_000.csv").read_text()
+    log = tmp_path / "run_000.csv"
+    RunLog(rows).to_csv(log)
+    assert "nan" in log.read_text()
     fig = tmp_path / "f.svg"
     assert cli.main(["plot", "--in", str(tmp_path), "--out", str(fig)]) == 2
     err = capsys.readouterr().err
-    assert err == "selfcma: error: cannot plot cc = nan at generation 2\n"
+    # the log is refused as it is read, before any median is taken
+    assert err == f"selfcma: error: {log}: cc is nan at generation 2\n"
     assert not fig.exists()
 
 

@@ -1,4 +1,4 @@
-"""Symmetric eigendecomposition, inverse square root, whitening, Mahalanobis distance."""
+"""Symmetric eigendecomposition, inverse square root, Mahalanobis distance."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -62,132 +62,21 @@ def test_symmetrize_requires_square():
         linalg.symmetrize(np.zeros((4, 2, 3)))
     with pytest.raises(DimensionMismatch):
         linalg.symmetrize(np.zeros(3))
+    # every routine takes one matrix, not a stack
+    with pytest.raises(DimensionMismatch):
+        linalg.sym_eigen(np.stack([np.eye(3)] * 2))
 
 
-def _random_covs(seed, k, n):
-    rng = sc.RngStream(seed)
-    covs = []
-    for _ in range(k):
-        basis = rng.random_rotation(n)
-        eigs = 10.0 ** rng.uniform_vector(-2, 2, n)
-        # last-bit asymmetry included: eigh reads only the lower triangle
-        covs.append((basis * eigs) @ basis.T)
-    return np.stack(covs)
-
-
-def test_stacked_routines_match_one_matrix_at_a_time():
-    covs = _random_covs(14, 6, 5)
-    xs = sc.RngStream(15).standard_normal_matrix(9, 5)
-    mean = sc.RngStream(16).uniform_vector(-1, 1, 5)
-    stacked = linalg.sym_eigen(covs)
-    assert stacked.basis.shape == (6, 5, 5)
-    assert stacked.eigenvalues.shape == (6, 5)
-    a_stack = linalg.inv_sqrt(stacked)
-    d_stack = linalg.mahalanobis(xs, mean, a_stack)
-    assert d_stack.shape == (6, 9)
-    w_stack = linalg.whitener(covs)
-    assert w_stack.shape == (6, 5, 5)
-    np.testing.assert_array_equal(linalg.symmetrize(covs)[2], linalg.symmetrize(covs[2]))
-    for i, cov in enumerate(covs):
-        single = linalg.sym_eigen(cov)
-        np.testing.assert_array_equal(stacked.basis[i], single.basis)
-        np.testing.assert_array_equal(stacked.eigenvalues[i], single.eigenvalues)
-        a = linalg.inv_sqrt(single)
-        np.testing.assert_array_equal(a_stack[i], a)
-        np.testing.assert_array_equal(d_stack[i], linalg.mahalanobis(xs, mean, a))
-        np.testing.assert_array_equal(w_stack[i], linalg.whitener(cov))
-
-
-def test_sym_eigen_stack_names_the_degenerate_matrix():
-    covs = _random_covs(17, 4, 3)
-    covs[2] = np.diag([1.0, 1.0, 1e-25])
-    with pytest.raises(NonPositiveDefinite, match="matrix 2 of the stack"):
-        linalg.sym_eigen(covs)
-    covs[2] = -np.eye(3)
-    with pytest.raises(NonPositiveDefinite, match="matrix 2 of the stack"):
-        linalg.sym_eigen(covs)
-    covs[2, 0, 0] = np.nan
-    with pytest.raises(NonPositiveDefinite, match="matrix 2 of the stack: non-finite"):
-        linalg.sym_eigen(covs)
-
-
-def _eigen_whitener(cov):
-    d = linalg.sym_eigen(cov)
-    return (d.basis / np.sqrt(d.eigenvalues)).T
-
-
-def _rotated(seed, eigs):
-    basis = sc.RngStream(seed).random_rotation(len(eigs))
-    return linalg.symmetrize((basis * np.asarray(eigs)) @ basis.T)
-
-
-def test_whitener_identity_is_identity():
-    np.testing.assert_array_equal(linalg.whitener(np.eye(3)), np.eye(3))
-
-
-def test_whitener_distances_are_mahalanobis():
-    rng = sc.RngStream(18)
-    cov = _rotated(19, [0.2, 1.0, 2.0, 7.0])
-    mean = rng.uniform_vector(-1, 1, 4)
-    xs = rng.standard_normal_matrix(9, 4)
-    w = linalg.whitener(cov)
-    np.testing.assert_allclose(w.T @ w @ cov, np.eye(4), rtol=0, atol=1e-12)
-    want = linalg.mahalanobis(xs, mean, linalg.inv_sqrt(linalg.sym_eigen(cov)))
-    np.testing.assert_allclose(np.linalg.norm((xs - mean) @ w.T, axis=1), want, rtol=1e-12)
-
-
-def test_whitener_shape_mismatch():
-    for shape in ((2, 3), (4, 2, 3), (3,)):
-        with pytest.raises(DimensionMismatch):
-            linalg.whitener(np.zeros(shape))
-
-
-@given(scale=st.floats(min_value=1e-3, max_value=1e3), seed=st.integers(0, 10_000))
-@settings(max_examples=60, deadline=None)
-def test_whitener_scaling_property(scale, seed):
-    # scaling C by s divides W, and so every distance, by sqrt(s)
-    cov = _rotated(seed, [0.5, 1.0, 4.0])
-    w1 = linalg.whitener(cov)
-    w2 = linalg.whitener(scale * cov)
-    np.testing.assert_allclose(
-        w2, w1 / np.sqrt(scale), rtol=1e-9, atol=1e-12 * np.abs(w1).max() / np.sqrt(scale)
-    )
-
-
-def test_whitener_falls_back_to_the_eigen_path():
-    # cond 1e18: Cholesky refuses it, sym_eigen's rule accepts it
-    ill = _rotated(2, np.geomspace(1.0, 1e-18, 4))
-    with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.cholesky(ill)
-    np.testing.assert_array_equal(linalg.whitener(ill), _eigen_whitener(ill))
-    # cond 1e14: Cholesky succeeds, the certificate fails
-    spread = np.diag([1.0, 1e-14])
-    np.linalg.cholesky(spread)
-    np.testing.assert_array_equal(linalg.whitener(spread), _eigen_whitener(spread))
-    # a stack goes through sym_eigen whole, and each matrix keeps its bits
-    stack = np.stack([np.eye(4), ill])
-    np.testing.assert_array_equal(linalg.whitener(stack)[0], _eigen_whitener(np.eye(4)))
-
-
-def test_whitener_refuses_what_sym_eigen_refuses():
-    covs = _random_covs(20, 3, 4)
-    covs[1] = _rotated(3, np.geomspace(1.0, 1e-19, 4))
-    with pytest.raises(NonPositiveDefinite, match="matrix 1 of the stack"):
-        linalg.sym_eigen(covs)
-    with pytest.raises(NonPositiveDefinite, match="matrix 1 of the stack"):
-        linalg.whitener(covs)
-    # Cholesky accepts this one; the certificate hands it to sym_eigen
-    covs[1] = np.diag([1.0, 1.0, 1.0, 1e-25])
-    with pytest.raises(NonPositiveDefinite, match="matrix 1 of the stack"):
-        linalg.whitener(covs)
-    covs[1] = -np.eye(4)
-    with pytest.raises(NonPositiveDefinite, match="matrix 1 of the stack"):
-        linalg.whitener(covs)
-    covs[1, 2, 2] = np.inf
-    with pytest.raises(NonPositiveDefinite, match="matrix 1 of the stack: non-finite"):
-        linalg.whitener(covs)
-    with pytest.raises(NonPositiveDefinite, match="non-finite"):
-        linalg.whitener(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+def test_sym_eigen_names_why_a_matrix_is_degenerate():
+    basis = sc.RngStream(17).random_rotation(3)
+    cov = linalg.symmetrize((basis * np.array([0.5, 1.0, 4.0])) @ basis.T)
+    with pytest.raises(NonPositiveDefinite, match="eigenvalue range .* is degenerate"):
+        linalg.sym_eigen(np.diag([1.0, 1.0, 1e-25]))
+    with pytest.raises(NonPositiveDefinite, match="eigenvalue range .* is degenerate"):
+        linalg.sym_eigen(-np.eye(3))
+    cov[0, 0] = np.nan
+    with pytest.raises(NonPositiveDefinite, match="^non-finite entries$"):
+        linalg.sym_eigen(cov)
 
 
 def test_mahalanobis_identity_is_euclidean():

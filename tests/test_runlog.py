@@ -1,4 +1,5 @@
 """CSV round-trips, byte determinism, and median aggregation."""
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selfcma.errors import EmptyInput
+from selfcma.errors import EmptyInput, MalformedLog
 from selfcma.runlog import (
     CSV_HEADER,
     WINDOWS,
@@ -68,6 +69,20 @@ def test_csv_rejects_bad_header(tmp_path):
     bad.write_text("gen,evals\n1,2\n")
     with pytest.raises(ValueError):
         RunLog.from_csv(bad)
+
+
+def test_csv_refuses_a_nan_cell(tmp_path):
+    # a NaN cell would make every median over its column depend on run
+    # order, since sorting NaN is undefined; inf sorts and is kept
+    path = tmp_path / "run_000.csv"
+    RunLog([_rec(1, math.inf), _rec(2, 1.0)]).to_csv(path)
+    assert RunLog.from_csv(path).records[0].best_f == math.inf
+    for column in ("best_f", "median_f", "sigma", "c1", "cmu", "cc"):
+        log = RunLog([_rec(1, 4.0), _rec(2, 2.0), _rec(3, 1.0)])
+        log.records[1] = dataclasses.replace(log.records[1], **{column: math.nan})
+        log.to_csv(path)
+        with pytest.raises(MalformedLog, match=f"{column} is nan at generation 2$"):
+            RunLog.from_csv(path)
 
 
 def test_column_extraction():
