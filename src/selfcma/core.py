@@ -3,9 +3,9 @@
 States are immutable values, stepped ask/tell style: `update_distribution`
 ranks the candidates `sample_population` drew by their fitness and returns
 a fresh state. It records the rate-free terms of its covariance update on
-that state, so `covariance_update` can recompute the covariance half of the
-update under other learning rates, which is what the hyper-parameter
-adaptation layer scores.
+that state, from which the hyper-parameter adaptation layer scores other
+learning rates in closed form; `covariance_update` is the explicit form of
+that update under any rates, the one the tests check the scores against.
 """
 from __future__ import annotations
 
@@ -187,8 +187,8 @@ class CmaState:
     `eigen` always decomposes `cov`; it is carried along so samplers never
     recompute it. `last_pop` is the population whose update produced this
     state and `terms` the record of that update's covariance half (both
-    None for an initial state): the rate search replays it under candidate
-    rates from this state alone.
+    None for an initial state): the rate search scores candidate rates
+    on it from this state alone.
     """
 
     params: StrategyParams

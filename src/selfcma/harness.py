@@ -15,7 +15,9 @@ from . import benchmarks, restart
 from .errors import ConfigError, EmptyInput, MalformedLog
 from .restart import MODES, RestartReport
 from .rng import RngStream
-from .runlog import TYPE_CODECS, RunLog, format_float, lower_median
+from .runlog import (
+    TYPE_CODECS, RunLog, format_float, lower_median, write_text_atomic
+)
 
 SUMMARY_NAME = "summary.csv"
 CONFIG_NAME = "config.txt"
@@ -149,13 +151,14 @@ def run_experiment(cfg: ExperimentConfig) -> list[RestartReport]:
     """Run the whole experiment and write its output directory.
 
     Produces run_000.csv .. run_NNN.csv (one per run), summary.csv, and
-    config.txt inside cfg.out_dir. Runs execute one after another in the
-    calling process. Each run's CSV is written as soon as that run returns,
-    so a run that raises keeps the logs of the runs before it; summary.csv
-    and config.txt are written only once every run returned. Reports come
-    back in run order. A run_*.csv in cfg.out_dir that this experiment will
-    not write, say from an earlier one with more runs, raises ConfigError
-    before anything is written, since `load_run_logs` would read it too.
+    config.txt inside cfg.out_dir, each written whole by `write_text_atomic`.
+    Runs execute one after another in the calling process. Each run's CSV
+    is written as soon as that run returns, so a run that raises keeps the
+    logs of the runs before it; summary.csv and config.txt are written only
+    once every run returned. Reports come back in run order. A run_*.csv in
+    cfg.out_dir that this experiment will not write, say from an earlier
+    one with more runs, raises ConfigError before anything is written,
+    since `load_run_logs` would read it too.
     """
     out_dir = Path(cfg.out_dir)
     names = [run_name(i) for i in range(cfg.runs)]
@@ -172,10 +175,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[RestartReport]:
         report.log.to_csv(out_dir / name)
         reports.append(report)
 
-    summary_lines = [SUMMARY_HEADER]
-    summary_lines += [_summary_row(i, cfg, r) for i, r in enumerate(reports)]
-    (out_dir / SUMMARY_NAME).write_text("\n".join(summary_lines) + "\n")
-    (out_dir / CONFIG_NAME).write_text(cfg.to_text())
+    rows = [SUMMARY_HEADER] + [_summary_row(i, cfg, r) for i, r in enumerate(reports)]
+    write_text_atomic(out_dir / SUMMARY_NAME, "\n".join(rows) + "\n")
+    write_text_atomic(out_dir / CONFIG_NAME, cfg.to_text())
     return reports
 
 

@@ -1,9 +1,10 @@
-"""Per-generation run traces and their CSV form.
+"""Per-generation run traces, their CSV form, and the package's file writer.
 
 One `GenRecord` per completed generation. Serialization is deliberately
-rigid: fixed column order, floats printed with repr-exact precision, LF
-newlines, trailing newline. Identical logs therefore produce byte-identical
-files on every platform, which the determinism checks rely on.
+rigid: fixed column order, floats printed with repr-exact precision,
+trailing newline. Identical logs therefore produce byte-identical files on
+every platform, which the determinism checks rely on. `write_text_atomic`
+writes every run CSV, summary.csv, config.txt and chart whole, with LF newlines.
 """
 from __future__ import annotations
 
@@ -11,13 +12,26 @@ import dataclasses
 import math
 import operator
 import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import EmptyInput, MalformedLog
+
+
+def write_text_atomic(path, text: str) -> None:
+    """Write text with LF newlines to a new `<name>.<random hex>.tmp` beside
+    path (mode 0o666 as the process masks it), then rename it over path."""
+    tmp = Path(f"{path}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def format_float(x: float) -> str:
@@ -97,23 +111,7 @@ class RunLog:
         return "\n".join(lines) + "\n"
 
     def to_csv(self, path) -> None:
-        """Write atomically: a temp file in the target directory, then rename."""
-        path = Path(path)
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=path.name + ".", suffix=".tmp", dir=path.parent
-        )
-        try:
-            with os.fdopen(fd, "w", newline="\n") as fh:
-                fh.write(self.to_csv_text())
-            # mkstemp files are 0600; give the result the usual umask-based mode
-            umask = os.umask(0)
-            os.umask(umask)
-            os.chmod(tmp_name, 0o666 & ~umask)
-            os.replace(tmp_name, path)
-        except BaseException:
-            if os.path.exists(tmp_name):
-                os.unlink(tmp_name)
-            raise
+        write_text_atomic(path, self.to_csv_text())
 
     @classmethod
     def from_csv(cls, path) -> "RunLog":

@@ -9,12 +9,11 @@ pixel coordinates.
 from __future__ import annotations
 
 import math
-from pathlib import Path
 from xml.sax.saxutils import escape
 
 from .adapt import BOX_HIGH
 from .errors import EmptyInput, MalformedLog
-from .runlog import RunLog, format_float
+from .runlog import RunLog, format_float, write_text_atomic
 
 WIDTH = 900
 HEIGHT = 540
@@ -187,4 +186,4 @@ def emit_plot(log: RunLog, path, title: str = "") -> None:
     parts.append(_text(legend_x + 28, MARGIN_TOP - 6, "best f", anchor="start"))
 
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n")
+    write_text_atomic(path, "\n".join(parts) + "\n")

@@ -364,14 +364,14 @@ def test_self_step_scores_the_replay_and_steps_only_the_auxiliary():
     # ranked on the newest population by its best half
     assert state.params.mu == 4
 
-    def minus_score(u):
-        (score,) = adapt.h_objective(
-            adapt.decode([u]), state, advanced.last_pop, state.params.mu
-        )
-        return -score
-
+    # all 20 triples in one call, as the search scores them: a triple's
+    # score is not promised bit for bit when it is scored alone
     fresh = adapt.init_search(sc.RngStream(31).child(1))
-    want = core.generation(minus_score, fresh.aux, fresh.rng)
+    u = core.sample_population(fresh.aux, fresh.rng)
+    assert u.shape == (adapt.DEFAULT_LAMBDA_H, 3)
+    pop_new, mu_sel = advanced.last_pop, state.params.mu
+    scores = adapt.h_objective(adapt.decode(u), state, pop_new, mu_sel)
+    want = core.update_distribution(fresh.aux, u, -scores)
     np.testing.assert_array_equal(stepped.aux.mean, want.mean)
     assert stepped.aux.sigma == want.sigma
 

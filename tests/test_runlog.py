@@ -1,12 +1,15 @@
-"""CSV round-trips, byte determinism, and median aggregation."""
+"""CSV round-trips, byte determinism, median aggregation, and atomic writes."""
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import selfcma as sc
+from selfcma import svgplot
 from selfcma.errors import EmptyInput, MalformedLog
 from selfcma.runlog import (
     CSV_HEADER,
@@ -173,3 +176,66 @@ def test_pooled_median_windows():
     short = [RunLog([_rec(i, 1.0, c1=0.5) for i in range(3)])] * 2
     assert math.isnan(pooled_median(short, "c1", "first quarter"))
     assert pooled_median(short, "c1", "final quarter") == 0.5
+
+
+def _experiment(out_dir):
+    cfg = sc.ExperimentConfig(
+        problem="sphere", dim=2, mode="plain", out_dir=str(out_dir), lam=4, runs=1,
+        budget=40,
+    )
+    sc.run_experiment(cfg)
+
+
+# Every file the package writes, by name, and how to make it in a directory.
+_LOG = RunLog([_rec(1, 2.0), _rec(2, 1.0, reason="budget")])
+WRITERS = {
+    "run_000.csv": lambda d: _LOG.to_csv(d / "run_000.csv"),
+    "summary.csv": _experiment,
+    "config.txt": _experiment,
+    "chart.svg": lambda d: svgplot.emit_plot(_LOG, d / "chart.svg"),
+}
+
+
+def _write_each(root):
+    """Make each file in a directory of its own under root; its paths."""
+    for name, write in WRITERS.items():
+        (root / name).mkdir()
+        write(root / name)
+    return [root / name / name for name in WRITERS]
+
+
+@pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
+@pytest.mark.parametrize("name", WRITERS)
+def test_failed_write_leaves_neither_target_nor_temp_file(
+    tmp_path, monkeypatch, name, error
+):
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if os.path.basename(dst) == name:
+            raise error(f"refused {name}")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(error, match=f"refused {name}"):
+        WRITERS[name](tmp_path)
+    assert not (tmp_path / name).exists()
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("mask", [0o022, 0o077, 0o002], ids=oct)
+def test_written_mode_is_the_masked_default(tmp_path, mask):
+    old = os.umask(mask)
+    try:
+        paths = _write_each(tmp_path)
+    finally:
+        os.umask(old)
+    for path in paths:
+        mode = path.stat().st_mode & 0o777
+        assert mode == 0o666 & ~mask, (path.name, oct(mode))
+
+
+def test_written_bytes_hold_no_carriage_return(tmp_path):
+    for path in _write_each(tmp_path):
+        data = path.read_bytes()
+        assert data.endswith(b"\n") and b"\r" not in data, path.name
