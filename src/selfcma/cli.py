@@ -65,23 +65,16 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _merged_run_config(args) -> harness.ExperimentConfig:
-    """Combine config-file values and CLI flags; flags take precedence."""
+def _experiment_config(path=None, **flags) -> harness.ExperimentConfig:
+    """The experiment of a key=value file (if `path` is given) with the flags
+    that are not None laid over it, checked."""
     merged: dict = {}
-    if args.config is not None:
-        path = Path(args.config)
+    if path is not None:
+        path = Path(path)
         if not path.is_file():
             raise ConfigError(f"config: {path} not found")
         merged.update(harness.parse_config_text(path.read_text()))
-    for field in dataclasses.fields(harness.ExperimentConfig):
-        value = getattr(args, field.name)
-        if value is not None:
-            merged[field.name] = value
-    return _experiment_config(merged)
-
-
-def _experiment_config(merged: dict) -> harness.ExperimentConfig:
-    """The experiment of typed config keys (from `run` or `rates`), checked."""
+    merged.update({k: v for k, v in flags.items() if v is not None})
     if "mode" in merged:
         mode = merged["mode"]
         if mode not in _MODE_ALIASES:
@@ -100,7 +93,10 @@ def _experiment_config(merged: dict) -> harness.ExperimentConfig:
 
 
 def _cmd_run(args) -> int:
-    cfg = _merged_run_config(args)
+    cfg = _experiment_config(args.config, **{
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(harness.ExperimentConfig)
+    })
     reports = harness.run_experiment(cfg)
     hits = sum(
         1 for r in reports
@@ -131,10 +127,7 @@ def _cmd_compare(args) -> int:
 def _cmd_rates(args) -> int:
     for directory in map(Path, args.in_dirs):
         logs = harness.load_run_logs(directory)
-        path = directory / harness.CONFIG_NAME
-        if not path.is_file():
-            raise ConfigError(f"{path} not found")
-        cfg = _experiment_config(harness.parse_config_text(path.read_text()))
+        cfg = _experiment_config(directory / harness.CONFIG_NAME)
         defaults = core.default_params(cfg.dim, cfg.lam)
         print(f"{directory}  ({cfg.problem} dim={cfg.dim} mode={cfg.mode},"
               f" {len(logs)} runs)")
@@ -151,19 +144,17 @@ def _cmd_rates(args) -> int:
     return 0
 
 
+_COMMANDS = {"run": _cmd_run, "plot": _cmd_plot, "compare": _cmd_compare,
+             "rates": _cmd_rates}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         if args.command is None:
             raise ConfigError("missing subcommand (run, plot, compare, or rates)")
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "plot":
-            return _cmd_plot(args)
-        if args.command == "rates":
-            return _cmd_rates(args)
-        return _cmd_compare(args)
+        return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"selfcma: config error: {exc}", file=sys.stderr)
         return 1
@@ -173,7 +164,3 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"selfcma: i/o error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

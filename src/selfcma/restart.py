@@ -180,7 +180,8 @@ def segment_states(objective, params, mean0, seg_rng, search=None):
     from child 0 of `seg_rng`. `search` is None for the fixed rates of
     `params`, or an `adapt.RateSearch` whose rates start the segment; from
     the second generation on, it is stepped on the update before the newest
-    one and its new rates are injected into the state.
+    one and its new rates are injected into the state. So the rates a
+    yielded state carries are those the next generation's update uses.
     """
     if search is not None:
         params = params.with_cov_rates(*search.rates)

@@ -53,12 +53,6 @@ class RngStream:
             raise InvalidDimension(f"n must be >= 1, got {n}")
         return self._gen.uniform(low, high, size=n)
 
-    def integers(self, low: int, high: int) -> int:
-        """One integer from {low, ..., high - 1}."""
-        if not low < high:
-            raise InvalidRange(f"need low < high, got [{low}, {high})")
-        return int(self._gen.integers(low, high))
-
     def random_rotation(self, n: int) -> np.ndarray:
         """Random orthonormal n x n matrix.
 

@@ -22,15 +22,18 @@ from .errors import EmptyInput, MalformedLog
 
 def write_text_atomic(path, text: str) -> None:
     """Write text with LF newlines to a new `<name>.<random hex>.tmp` beside
-    path (mode 0o666 as the process masks it), then rename it over path."""
+    path (mode 0o666 as the process masks it), then rename it over path.
+    An OSError about the temp file names path instead."""
     tmp = Path(f"{path}.{os.urandom(8).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         with open(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename == str(tmp):
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
 
 

@@ -18,6 +18,11 @@ def in_rate_box(c_1, c_mu, c_c):
     )
 
 
+def draw_int(stream, low, high):
+    """One integer from {low, ..., high - 1}, drawn from `stream`'s generator."""
+    return int(stream._gen.integers(low, high))
+
+
 def make_random_state(seed, n, lam, cond_exp=1.5, gen_max=30):
     """A plausible mid-run CmaState, fully determined by `seed`.
 
@@ -39,7 +44,7 @@ def make_random_state(seed, n, lam, cond_exp=1.5, gen_max=30):
         eigen=linalg.sym_eigen(cov),
         path_sigma=0.5 * rng.standard_normal_matrix(1, n)[0],
         path_c=0.5 * rng.standard_normal_matrix(1, n)[0],
-        gen=rng.integers(1, gen_max),
+        gen=draw_int(rng, 1, gen_max),
     )
 
 

@@ -29,7 +29,9 @@ import numpy as np
 import pytest
 
 import selfcma as sc
-from conftest import in_rate_box, make_random_pop, make_random_state, state_as_dict
+from conftest import (
+    draw_int, in_rate_box, make_random_pop, make_random_state, state_as_dict
+)
 from reference_impl import reference_h, reference_update
 from selfcma import adapt, benchmarks, core, harness, linalg, restart
 from selfcma.runlog import pooled_median
@@ -172,7 +174,7 @@ def test_criterion_2_rank_agreement_matches_brute_force():
         updated = sc.update_distribution(state, pop_used.candidates, pop_used.fitness)
         pop_new = make_random_pop(updated, seed=50_000 + i)
         rng = sc.RngStream(60_000 + i)
-        mu_sel = rng.integers(1, lam + 1)
+        mu_sel = draw_int(rng, 1, lam + 1)
         # raw draws cross the constraint boundary, so both branches run;
         # the three triples are scored as one stack
         triples = np.stack([rng.uniform_vector(-0.2, 0.7, 3) for _ in range(3)])

@@ -128,10 +128,12 @@ def test_missing_directory_exits_one_naming_the_path(tmp_path, capsys, args):
 def test_plot_unwritable_output_exit_two(tmp_path, capsys):
     a = tmp_path / "a"
     assert cli.main(_run_args(a)) == 0
-    code = cli.main(
-        ["plot", "--in", str(a), "--out", str(tmp_path / "no_dir" / "fig.svg")]
-    )
+    fig = tmp_path / "no_dir" / "fig.svg"
+    code = cli.main(["plot", "--in", str(a), "--out", str(fig)])
     assert code == 2
+    # the message names the chart asked for, not the temp file beside it
+    err = capsys.readouterr().err
+    assert err.endswith(f": '{fig}'\n") and ".tmp'" not in err
 
 
 def test_csv_logs_loadable_after_cli_run(tmp_path):

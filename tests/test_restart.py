@@ -1,5 +1,6 @@
 """Stopping criteria and the doubling restart loop."""
 import dataclasses
+import itertools
 import math
 import re
 
@@ -8,7 +9,7 @@ import pytest
 
 import selfcma as sc
 from conftest import make_random_state
-from selfcma import restart
+from selfcma import adapt, core, restart
 from selfcma.errors import ConfigError
 from selfcma.restart import StopReason, hist_window
 
@@ -282,6 +283,30 @@ def test_ipop_self_mode_runs_and_logs_rates():
     assert len(set(c1.tolist())) > 1  # rates actually moved
     assert np.all(c1 >= 0) and np.all(c1 <= 0.9)
     assert np.all(c1 + cmu <= 0.9 + 1e-12)
+
+
+def test_self_adaptive_row_rates_drive_the_next_update():
+    # row t logs the rates injected after generation t's auxiliary step, so
+    # generation t + 1's covariance update is the one that uses them; row 1's
+    # initial rates drive generations 1 and 2, and the last row's go unused
+    n, lam, rng = 4, 8, sc.RngStream(75)
+    prob = sc.make_problem("ellipsoid", n, rng)
+    report = sc.ipop_run(prob, n, "self_adaptive", lam, 40 * lam, -1.0, rng)
+    assert report.restarts == 0
+    seg_rng = rng.child(0)
+    mean0 = seg_rng.uniform_vector(*core.INIT_BOX, n)
+    search = adapt.init_search(seg_rng.child(1))
+    params = sc.default_params(n, lam)
+    loop = restart.segment_states(prob, params, mean0, seg_rng, search)
+    states = [state for state, _ in itertools.islice(loop, len(report.log))]
+    rates = [(row.c1, row.cmu, row.cc) for row in report.log]
+    assert rates[0] == search.rates and len(set(rates)) > 2
+    for t, (row_rates, next_state) in enumerate(zip(rates, states[1:]), start=1):
+        _, cov = core.covariance_update(next_state.terms, *row_rates)
+        assert np.array_equal(cov, next_state.cov), t
+    # they are not the rates that built the row's own state
+    _, cov = core.covariance_update(states[-1].terms, *rates[-1])
+    assert not np.array_equal(cov, states[-1].cov)
 
 
 def test_ipop_self_mode_accepts_zero_path_rate():
