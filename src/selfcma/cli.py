@@ -76,12 +76,7 @@ def _experiment_config(path=None, **flags) -> harness.ExperimentConfig:
         merged.update(harness.parse_config_text(path.read_text()))
     merged.update({k: v for k, v in flags.items() if v is not None})
     if "mode" in merged:
-        mode = merged["mode"]
-        if mode not in _MODE_ALIASES:
-            raise ConfigError(
-                f"mode: expected one of {sorted(_MODE_ALIASES)}, got {mode!r}"
-            )
-        merged["mode"] = _MODE_ALIASES[mode]
+        merged["mode"] = _MODE_ALIASES.get(merged["mode"], merged["mode"])
     missing = [
         f.name
         for f in dataclasses.fields(harness.ExperimentConfig)

@@ -39,13 +39,6 @@ def default_lambda(n: int) -> int:
     return 4 + int(math.floor(3.0 * math.log(n)))
 
 
-def expected_norm(n: int) -> float:
-    """E||N(0, I_n)|| via sqrt(n) * (1 - 1/(4n) + 1/(21 n^2))."""
-    if n < 1:
-        raise InvalidDimension(f"n must be >= 1, got {n}")
-    return math.sqrt(n) * (1.0 - 1.0 / (4.0 * n) + 1.0 / (21.0 * n * n))
-
-
 @dataclass(frozen=True, eq=False)
 class StrategyParams:
     """Scalar hyper-parameters of one CMA-ES instance.
@@ -67,6 +60,7 @@ class StrategyParams:
             its value.
         c_1: rank-one covariance learning rate, >= 0.
         c_mu: rank-mu covariance learning rate, >= 0; c_1 + c_mu <= 1.
+        chi_n, h_sigma_factor: E||N(0, I_n)|| and the stall threshold's 1.4 + 2/(n+1).
     """
 
     n: int
@@ -79,6 +73,8 @@ class StrategyParams:
     c_c: float = field(init=False)
     c_1: float = field(init=False)
     c_mu: float = field(init=False)
+    chi_n: float = field(init=False)
+    h_sigma_factor: float = field(init=False)
 
     def __post_init__(self):
         n, lam = self.n, self.lam
@@ -111,6 +107,8 @@ class StrategyParams:
             c_c=c_c,
             c_1=c_1,
             c_mu=c_mu,
+            chi_n=math.sqrt(n) * (1.0 - 1.0 / (4.0 * n) + 1.0 / (21.0 * n * n)),
+            h_sigma_factor=1.4 + 2.0 / (n + 1.0),
         )
 
     def with_cov_rates(self, c_1: float, c_mu: float, c_c: float) -> "StrategyParams":
@@ -290,7 +288,6 @@ def update_distribution(state: CmaState, candidates, fitness) -> CmaState:
     new_mean = p.weights @ selected
     step = (new_mean - state.mean) / state.sigma
 
-    chi_n = expected_norm(p.n)
     inv_sqrt_c = linalg.inv_sqrt(state.eigen)
     path_sigma = (1.0 - p.c_sigma) * state.path_sigma + math.sqrt(
         p.c_sigma * (2.0 - p.c_sigma)
@@ -300,8 +297,8 @@ def update_distribution(state: CmaState, candidates, fitness) -> CmaState:
     t_next = state.gen + 1
     threshold = (
         math.sqrt(1.0 - (1.0 - p.c_sigma) ** (2 * t_next))
-        * (1.4 + 2.0 / (p.n + 1.0))
-        * chi_n
+        * p.h_sigma_factor
+        * p.chi_n
     )
     h_sigma = 1.0 if ps_norm < threshold else 0.0
 
@@ -313,7 +310,7 @@ def update_distribution(state: CmaState, candidates, fitness) -> CmaState:
     path_c, new_cov = covariance_update(terms, p.c_1, p.c_mu, p.c_c)
 
     new_sigma = state.sigma * math.exp(
-        (p.c_sigma / p.d_sigma) * (ps_norm / chi_n - 1.0)
+        (p.c_sigma / p.d_sigma) * (ps_norm / p.chi_n - 1.0)
     )
 
     if not (

@@ -84,6 +84,22 @@ def test_config_file_supplies_defaults_cli_wins(tmp_path, capsys):
     assert "seed=17" in (tmp_path / "cli_out" / "config.txt").read_text()
 
 
+def test_config_file_mode_is_checked_and_aliased(tmp_path, capsys):
+    out = tmp_path / "out"
+    conf = tmp_path / "exp.conf"
+    base = f"problem=sphere\ndim=4\nlam=8\nruns=1\nbudget=400\nout_dir={out}\n"
+    conf.write_text(base + "mode=turbo\n")
+    assert cli.main(["run", "--config", str(conf)]) == 1
+    err = capsys.readouterr().err
+    assert "mode" in err and "'turbo'" in err
+    assert not out.exists()
+
+    conf.write_text(base + "mode=self\n")
+    assert cli.main(["run", "--config", str(conf)]) == 0
+    assert "mode=self_adaptive" in capsys.readouterr().out
+    assert "mode=self_adaptive\n" in (out / "config.txt").read_text()
+
+
 def test_missing_required_field_is_config_error(tmp_path, capsys, monkeypatch):
     code = cli.main(["run", "--problem", "sphere", "--dim", "4", "--mode", "plain"])
     assert code == 1

@@ -78,10 +78,13 @@ def test_default_params_match_reference(n, lam):
 
 
 def test_expected_norm_frozen_values():
-    assert core.expected_norm(1) == pytest.approx(0.7976190476190477, rel=1e-15)
-    assert core.expected_norm(10) == pytest.approx(3.0847265651690123, rel=1e-15)
+    # chi_n = E||N(0, I_n)||, a derived field of the strategy parameters
+    chi_1 = core.StrategyParams(1, 2).chi_n
+    assert chi_1 == pytest.approx(0.7976190476190477, rel=1e-15)
+    chi_10 = core.StrategyParams(10, 10).chi_n
+    assert chi_10 == pytest.approx(3.0847265651690123, rel=1e-15)
     with pytest.raises(InvalidDimension):
-        core.expected_norm(0)
+        core.StrategyParams(0, 2)
 
 
 def test_params_validation():
@@ -104,6 +107,8 @@ def test_params_validation():
         "c_c": 0.0,
         "c_1": 0.8,
         "c_mu": 0.4,
+        "chi_n": 2.0,
+        "h_sigma_factor": 1.8,
     }
     for name, value in derived.items():
         with pytest.raises(ValueError):
@@ -119,6 +124,7 @@ def test_with_cov_rates_replaces_only_rates():
     q = p.with_cov_rates(0.1, 0.2, 0.3)
     assert (q.c_1, q.c_mu, q.c_c) == (0.1, 0.2, 0.3)
     assert q.c_sigma == p.c_sigma and q.lam == p.lam
+    assert (q.chi_n, q.h_sigma_factor) == (p.chi_n, p.h_sigma_factor)
     np.testing.assert_array_equal(q.weights, p.weights)
     assert (p.c_1, p.c_mu, p.c_c) != (0.1, 0.2, 0.3)  # p is not changed
     with pytest.raises(dataclasses.FrozenInstanceError):

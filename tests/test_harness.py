@@ -1,4 +1,5 @@
 """Experiment config parsing, output layout, determinism, and comparison."""
+import itertools
 import math
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 import selfcma as sc
 from selfcma import harness, runlog
 from selfcma.errors import ConfigError, EmptyInput
+from selfcma.restart import MODES, StopReason
 
 
 def _cfg(tmp_path, **kw):
@@ -139,6 +141,28 @@ def test_evals_to_target_finds_first_crossing():
     ]
     assert harness.evals_to_target(runlog.RunLog(recs), 1e-8) == 20
     assert harness.evals_to_target(runlog.RunLog(recs), 1e-15) is None
+
+
+def test_evals_to_target_is_total_evals_exactly_on_a_target_hit(tmp_path):
+    # summary.csv's evals_to_target and `compare` read a hit as the run's
+    # whole cost: a run stops at its first generation at or below the target
+    # and a restart never hides a hit, so this holds for every stop reason
+    outcomes = set()
+    for problem, mode, target, budget in itertools.product(
+        ("sphere", "sharpridge"), MODES, (1e-8, 1e-3, -1.0), (1200, 3000)
+    ):
+        cfg = _cfg(tmp_path, problem=problem, mode=mode, target=target,
+                   budget=budget, runs=1, seed=2)
+        report = harness.single_run(cfg, 0)
+        hit = report.final_reason is StopReason.TARGET_HIT
+        expected = report.total_evals if hit else None
+        assert harness.evals_to_target(report.log, target) == expected, cfg
+        outcomes.add((report.final_reason, report.restarts > 0))
+    # the grid hits the target and runs out of budget, each with and without
+    # a restart
+    assert outcomes == set(itertools.product(
+        (StopReason.TARGET_HIT, StopReason.BUDGET_EXHAUSTED), (False, True)
+    ))
 
 
 def test_compare_dirs(tmp_path):

@@ -1,5 +1,7 @@
 """The package's top-level namespace."""
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import selfcma as sc
@@ -38,6 +40,24 @@ def test_exports_are_the_documented_api():
         name for name in sc.__all__ if not re.search(rf"\b{name}\b", section)
     ]
     assert undocumented == []
+
+
+def test_import_loads_only_the_algorithm_modules():
+    # a cold `import selfcma` is what a start-up timing measures, so the CLI
+    # and the SVG writer stay off that path
+    src = str(Path(sc.__file__).resolve().parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import selfcma; "
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('selfcma'))))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert result.stdout.split() == ["selfcma"] + [
+        f"selfcma.{name}"
+        for name in ("adapt", "benchmarks", "core", "errors", "harness",
+                     "linalg", "restart", "rng", "runlog")
+    ]
 
 
 def test_readme_example_runs(tmp_path, monkeypatch, capsys):
