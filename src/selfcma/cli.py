@@ -4,25 +4,23 @@ Four subcommands: `run` executes a seeded experiment and writes CSV logs,
 `plot` turns a results directory into an SVG trajectory chart, `compare`
 prints the median evals-to-target ratio of two result directories, and
 `rates` prints the pooled median of each adapted rate over generation
-windows of result directories. Exit codes: 0 success, 1 configuration
-error, 2 runtime failure.
+windows of result directories. `harness` builds every experiment and reads
+every results directory back; this module parses arguments and prints.
+Exit codes: 0 success, 1 configuration error, 2 runtime failure.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
 import sys
-from pathlib import Path
 
 from . import core, harness, runlog, svgplot
 from .errors import ConfigError, SelfCmaError
 
-# accepted spellings of the adaptive mode
-_MODE_ALIASES = {"self": "self_adaptive", "self_adaptive": "self_adaptive",
-                 "plain": "plain"}
 # `run` flags other than --<field name with dashes>, and the fields with choices
 _FLAGS = {"lam": "--lambda", "out_dir": "--out"}
-_CHOICES = {"problem": harness.benchmarks.PROBLEM_NAMES, "mode": sorted(_MODE_ALIASES)}
+_CHOICES = {"problem": harness.benchmarks.PROBLEM_NAMES,
+            "mode": sorted(harness.MODE_ALIASES)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -65,30 +63,8 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _experiment_config(path=None, **flags) -> harness.ExperimentConfig:
-    """The experiment of a key=value file (if `path` is given) with the flags
-    that are not None laid over it, checked."""
-    merged: dict = {}
-    if path is not None:
-        path = Path(path)
-        if not path.is_file():
-            raise ConfigError(f"config: {path} not found")
-        merged.update(harness.parse_config_text(path.read_text()))
-    merged.update({k: v for k, v in flags.items() if v is not None})
-    if "mode" in merged:
-        merged["mode"] = _MODE_ALIASES.get(merged["mode"], merged["mode"])
-    missing = [
-        f.name
-        for f in dataclasses.fields(harness.ExperimentConfig)
-        if f.name not in merged and f.default is dataclasses.MISSING
-    ]
-    if missing:
-        raise ConfigError(f"{missing[0]}: required (give a flag or config entry)")
-    return harness.ExperimentConfig(**merged)
-
-
 def _cmd_run(args) -> int:
-    cfg = _experiment_config(args.config, **{
+    cfg = harness.load_config(args.config, **{
         f.name: getattr(args, f.name)
         for f in dataclasses.fields(harness.ExperimentConfig)
     })
@@ -120,9 +96,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_rates(args) -> int:
-    for directory in map(Path, args.in_dirs):
-        logs = harness.load_run_logs(directory)
-        cfg = _experiment_config(directory / harness.CONFIG_NAME)
+    for directory in args.in_dirs:
+        cfg, logs = harness.load_experiment(directory)
         defaults = core.default_params(cfg.dim, cfg.lam)
         print(f"{directory}  ({cfg.problem} dim={cfg.dim} mode={cfg.mode},"
               f" {len(logs)} runs)")

@@ -3,6 +3,10 @@
 Run i of an experiment consumes stream child i of the master seed and is
 completely independent of every other run, so its output bytes do not
 depend on which other runs the batch holds or in what order they execute.
+This is the one module that knows an experiment directory's layout: it
+builds every `ExperimentConfig` (`load_config`) and reads a directory back
+from its run logs and config.txt (`load_experiment`). summary.csv is
+written for people to read; nothing in the package reads it back.
 """
 from __future__ import annotations
 
@@ -12,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import benchmarks, restart
-from .errors import ConfigError, EmptyInput, MalformedLog
+from .errors import ConfigError, EmptyInput
 from .restart import MODES, RestartReport
 from .rng import RngStream
 from .runlog import (
@@ -22,6 +26,9 @@ from .runlog import (
 SUMMARY_NAME = "summary.csv"
 CONFIG_NAME = "config.txt"
 SUMMARY_HEADER = "run,evals_to_target,total_evals,best_f,gens,restarts,stop_reason"
+# accepted spellings of the adaptive mode
+MODE_ALIASES = {"self": "self_adaptive", "self_adaptive": "self_adaptive",
+                "plain": "plain"}
 
 
 @dataclass(frozen=True)
@@ -109,6 +116,28 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
+def load_config(path=None, **flags) -> ExperimentConfig:
+    """The experiment of a key=value file (if `path` is given) with the flags
+    that are not None laid over it, checked."""
+    merged: dict = {}
+    if path is not None:
+        path = Path(path)
+        if not path.is_file():
+            raise ConfigError(f"config: {path} not found")
+        merged.update(parse_config_text(path.read_text()))
+    merged.update({k: v for k, v in flags.items() if v is not None})
+    if "mode" in merged:
+        merged["mode"] = MODE_ALIASES.get(merged["mode"], merged["mode"])
+    missing = [
+        f.name
+        for f in dataclasses.fields(ExperimentConfig)
+        if f.name not in merged and f.default is dataclasses.MISSING
+    ]
+    if missing:
+        raise ConfigError(f"{missing[0]}: required (give a flag or config entry)")
+    return ExperimentConfig(**merged)
+
+
 def run_name(index: int) -> str:
     return f"run_{index:03d}.csv"
 
@@ -193,39 +222,21 @@ def load_run_logs(directory) -> list[RunLog]:
     return [RunLog.from_csv(p) for p in paths]
 
 
-def read_summary_column(directory, column: str) -> list[str]:
-    """One column of a directory's summary.csv, as raw strings."""
-    path = Path(directory) / SUMMARY_NAME
-    if not path.is_file():
-        raise ConfigError(f"{path} not found")
-    lines = path.read_text().splitlines()
-    if not lines:
-        raise MalformedLog(f"{path}: missing header")
-    header = lines[0].split(",")
-    if column not in header:
-        raise MalformedLog(f"{path}: no {column} column")
-    pos = header.index(column)
-    rows = [line.split(",") for line in lines[1:] if line]
-    if any(len(row) != len(header) for row in rows):
-        raise MalformedLog(f"{path}: every row needs the header's {len(header)} fields")
-    return [row[pos] for row in rows]
-
-
-def median_evals_to_target(directory) -> float:
-    """Lower median of per-run evals-to-target; misses count as infinity."""
-    cells = read_summary_column(directory, "evals_to_target")
-    try:
-        values = [float(c) if c else math.inf for c in cells]
-    except ValueError as exc:
-        path = Path(directory) / SUMMARY_NAME
-        raise MalformedLog(f"{path}: evals_to_target: {exc}") from exc
-    return float(lower_median(values))
+def load_experiment(directory) -> tuple[ExperimentConfig, list[RunLog]]:
+    """An experiment directory's config.txt and run logs, the logs read first."""
+    logs = load_run_logs(directory)
+    return load_config(Path(directory) / CONFIG_NAME), logs
 
 
 def compare_dirs(dir_a, dir_b) -> dict:
-    """Median evals-to-target of two experiment directories and their ratio."""
-    med_a = median_evals_to_target(dir_a)
-    med_b = median_evals_to_target(dir_b)
+    """Lower median evals-to-target of two experiment directories (a miss
+    counts as infinity) and their ratio."""
+    medians = []
+    for directory in (dir_a, dir_b):
+        cfg, logs = load_experiment(directory)
+        hits = [evals_to_target(log, cfg.target) for log in logs]
+        medians.append(float(lower_median([math.inf if h is None else h for h in hits])))
+    med_a, med_b = medians
     if med_b == 0:
         raise EmptyInput("second directory has zero median evals-to-target")
     ratio = med_a / med_b if math.isfinite(med_a) or math.isfinite(med_b) else math.nan

@@ -318,8 +318,9 @@ def test_criterion_4_baseline_sphere_convergence(tmp_path):
         target=1e-10,
     )
     harness.run_experiment(cfg)
-    cells = harness.read_summary_column(cfg.out_dir, "evals_to_target")
-    hits = sum(1 for c in cells if c and int(c) <= 5000)
+    logs = harness.load_run_logs(cfg.out_dir)
+    cells = [harness.evals_to_target(log, cfg.target) for log in logs]
+    hits = sum(1 for c in cells if c is not None and c <= 5000)
     elapsed = time.perf_counter() - start
     assert hits >= 14, f"only {hits}/15 runs reached 1e-10 within 5000 evaluations"
     assert elapsed < 10.0, f"baseline sweep took {elapsed:.2f}s"

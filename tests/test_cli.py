@@ -240,22 +240,50 @@ def test_plot_with_a_nan_rate_exits_two(tmp_path, capsys):
     assert not fig.exists()
 
 
-def test_compare_empty_summary_exits_two(tmp_path, capsys):
-    a = tmp_path / "a"
-    assert cli.main(_run_args(a)) == 0
-    summary = a / "summary.csv"
-    header = summary.read_text().splitlines()[0]
-    for text, message in (
-        ("", "missing header"),
-        (f"{header}\n0,abc,8,1,1,0,target_hit\n", "'abc'"),
-        ("run,total_evals\n0,8\n", "no evals_to_target column"),
-    ):
-        summary.write_text(text)
-        capsys.readouterr()
-        assert cli.main(["compare", "--a", str(a), "--b", str(a)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("selfcma: error: ") and err.count("\n") == 1
-        assert str(summary) in err and message in err
+@pytest.fixture(scope="module")
+def compare_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("runs") / "out"
+    assert cli.main(_run_args(out)) == 0
+    return out
+
+
+@pytest.mark.parametrize(
+    "case, code, words",
+    [
+        ("corrupted summary", 0, "ratio (a/b) = 1"),
+        ("no config file", 1, "config.txt not found"),
+        ("nan cell", 2, "run_000.csv: best_f is nan at generation 1"),
+        ("no run logs", 2, "no run_*.csv files"),
+    ],
+)
+def test_compare_bad_directory_is_one_line(
+    compare_dir, tmp_path, capsys, case, code, words
+):
+    # compare reads the run logs and config.txt; summary.csv is not read back
+    for path in compare_dir.iterdir():
+        (tmp_path / path.name).write_bytes(path.read_bytes())
+    if case == "corrupted summary":
+        (tmp_path / "summary.csv").write_text("run,total_evals\n0,abc\n")
+    elif case == "no config file":
+        (tmp_path / "config.txt").unlink()
+    elif case == "nan cell":
+        log = tmp_path / "run_000.csv"
+        header, first, *rest = log.read_text().splitlines()
+        cells = first.split(",")
+        cells[header.split(",").index("best_f")] = "nan"
+        log.write_text("\n".join([header, ",".join(cells), *rest]) + "\n")
+    elif case == "no run logs":
+        for path in tmp_path.glob("run_*.csv"):
+            path.unlink()
+    capsys.readouterr()
+    assert cli.main(["compare", "--a", str(tmp_path), "--b", str(compare_dir)]) == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert err == "" and out.endswith(words + "\n")
+    else:
+        # the message names the file or directory at fault
+        assert err.startswith("selfcma: ") and err.count("\n") == 1
+        assert f"{tmp_path}/{words}" in err or f"{words} in {tmp_path}" in err
 
 
 @pytest.fixture(scope="module")

@@ -125,12 +125,22 @@ def test_single_run_matches_batch(tmp_path):
 
 
 def test_summary_evals_to_target_column(tmp_path):
-    cfg = _cfg(tmp_path)
-    reports = sc.run_experiment(cfg)
-    cells = harness.read_summary_column(tmp_path / "out", "evals_to_target")
-    for cell, report in zip(cells, reports):
-        expected = harness.evals_to_target(report.log, cfg.target)
-        assert cell == ("" if expected is None else str(expected))
+    # at budget 600 the third run misses the target and its cell is empty
+    for budget in (20_000, 600):
+        out = tmp_path / str(budget)
+        cfg = _cfg(tmp_path, budget=budget, out_dir=str(out))
+        reports = sc.run_experiment(cfg)
+        header, *rows = (out / harness.SUMMARY_NAME).read_text().splitlines()
+        pos = header.split(",").index("evals_to_target")
+        cells = [row.split(",")[pos] for row in rows]
+        assert len(cells) == len(reports)
+        for cell, report in zip(cells, reports):
+            expected = harness.evals_to_target(report.log, cfg.target)
+            assert cell == ("" if expected is None else str(expected))
+        # `compare` reads the run logs, not this table, and agrees with it
+        median = runlog.lower_median([int(c) if c else math.inf for c in cells])
+        assert harness.compare_dirs(out, out)["median_a"] == median
+    assert cells[-1] == ""
 
 
 def test_evals_to_target_finds_first_crossing():
@@ -165,21 +175,23 @@ def test_evals_to_target_is_total_evals_exactly_on_a_target_hit(tmp_path):
     ))
 
 
+def _experiment_dir(tmp_path, name, hits):
+    """A directory of one-generation run logs that hit 1e-8 at the given
+    evals (None: a miss at 500 evals), with its config.txt."""
+    directory = tmp_path / name
+    directory.mkdir()
+    cfg = _cfg(tmp_path, out_dir=str(directory), runs=len(hits))
+    (directory / harness.CONFIG_NAME).write_text(cfg.to_text())
+    for i, hit in enumerate(hits):
+        evals, best_f = (500, 1e-2) if hit is None else (hit, 1e-9)
+        record = runlog.GenRecord(1, evals, best_f, best_f, 1.0, 0.1, 0.1, 0.1)
+        runlog.RunLog([record]).to_csv(directory / harness.run_name(i))
+    return directory
+
+
 def test_compare_dirs(tmp_path):
-    fast = tmp_path / "fast"
-    slow = tmp_path / "slow"
-    fast.mkdir()
-    slow.mkdir()
-    (fast / "summary.csv").write_text(
-        harness.SUMMARY_HEADER
-        + "\n0,100,100,1e-9,5,0,target_hit\n1,200,200,1e-9,5,0,target_hit\n"
-        + "2,300,300,1e-9,5,0,target_hit\n"
-    )
-    (slow / "summary.csv").write_text(
-        harness.SUMMARY_HEADER
-        + "\n0,400,400,1e-9,5,0,target_hit\n1,,500,1e-2,5,1,budget_exhausted\n"
-        + "2,800,800,1e-9,5,0,target_hit\n"
-    )
+    fast = _experiment_dir(tmp_path, "fast", [100, 200, 300])
+    slow = _experiment_dir(tmp_path, "slow", [400, None, 800])
     result = harness.compare_dirs(fast, slow)
     assert result["median_a"] == 200
     assert result["median_b"] == 800  # lower median of (400, 800, inf)
