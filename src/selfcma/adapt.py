@@ -102,7 +102,8 @@ def h_objective(
     numbers), and the score is the mean rank of the mu_sel best-by-fitness
     candidates. Larger is better; the maximum is attained when the fitness
     winners are exactly the likeliest points. Infeasible triples score
-    minus their constraint penalty. Returns the (k,) scores.
+    minus their constraint penalty. Returns the (k,) scores. An initial
+    state, which no update produced, raises ValueError.
     """
     triples = np.asarray(triples, dtype=float)
     if triples.ndim != 2 or triples.shape[1] != AUX_DIM:
@@ -115,8 +116,10 @@ def h_objective(
     feasible = scores == 0
     if not feasible.any():
         return scores
-    c_1, c_mu, c_c = triples[feasible].T
     t = state.terms
+    if t is None:
+        raise ValueError("state has no update to score: it is an initial state")
+    c_1, c_mu, c_c = triples[feasible].T
     s = t.eigen.basis / np.sqrt(t.eigen.eigenvalues)
     # eigh, not sym_eigen: R is only semidefinite when mu < n
     d, q = np.linalg.eigh(s.T @ t.rank_mu @ s)

@@ -6,12 +6,13 @@ prints the median evals-to-target ratio of two result directories, and
 `rates` prints the pooled median of each adapted rate over generation
 windows of result directories. `harness` builds every experiment and reads
 every results directory back; this module parses arguments and prints.
-Exit codes: 0 success, 1 configuration error, 2 runtime failure.
+Exit codes: 0 success, 1 configuration error, 2 runtime failure, 141 broken pipe.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 
 from . import core, harness, runlog, svgplot
@@ -63,7 +64,7 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args) -> None:
     cfg = harness.load_config(args.config, **{
         f.name: getattr(args, f.name)
         for f in dataclasses.fields(harness.ExperimentConfig)
@@ -75,27 +76,24 @@ def _cmd_run(args) -> int:
     )
     print(f"{cfg.problem} dim={cfg.dim} mode={cfg.mode}: "
           f"{hits}/{cfg.runs} runs hit {cfg.target:g}; logs in {cfg.out_dir}")
-    return 0
 
 
-def _cmd_plot(args) -> int:
+def _cmd_plot(args) -> None:
     logs = harness.load_run_logs(args.in_dir)
     median = runlog.aggregate_medians(logs)
     title = args.title or f"median of {len(logs)} runs"
     svgplot.emit_plot(median, args.out, title=title)
     print(f"wrote {args.out}")
-    return 0
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args) -> None:
     result = harness.compare_dirs(args.a, args.b)
     print(f"a: median evals to target = {result['median_a']:g} ({args.a})")
     print(f"b: median evals to target = {result['median_b']:g} ({args.b})")
     print(f"ratio (a/b) = {result['ratio']:.6g}")
-    return 0
 
 
-def _cmd_rates(args) -> int:
+def _cmd_rates(args) -> None:
     for directory in args.in_dirs:
         cfg, logs = harness.load_experiment(directory)
         defaults = core.default_params(cfg.dim, cfg.lam)
@@ -111,7 +109,6 @@ def _cmd_rates(args) -> int:
                 for window in runlog.WINDOWS
             )
             print(f"  {column:<4} default {fixed:.4f}  |  {cells}")
-    return 0
 
 
 _COMMANDS = {"run": _cmd_run, "plot": _cmd_plot, "compare": _cmd_compare,
@@ -124,7 +121,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise ConfigError("missing subcommand (run, plot, compare, or rates)")
-        return _COMMANDS[args.command](args)
+        _COMMANDS[args.command](args)
+        sys.stdout.flush()  # inside the try, so a closed pipe is caught here
+        return 0
+    except BrokenPipeError:  # quiet, as if killed by SIGPIPE; mute the exit flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ConfigError as exc:
         print(f"selfcma: config error: {exc}", file=sys.stderr)
         return 1

@@ -47,4 +47,4 @@ class EmptyInput(SelfCmaError, ValueError):
 
 
 class MalformedLog(SelfCmaError, ValueError):
-    """A run log or summary file does not parse; the message names the file."""
+    """A run log does not parse (the message names the file) or a rate is not finite."""

@@ -68,12 +68,11 @@ class SegmentHistory:
     `recent` holds the last `window` bests, oldest first; `best` is the
     segment's best so far and `since_best` the number of generations since
     it last strictly improved. Each push costs the same however long the
-    segment has run. `spent` is the number of evaluations the run used
-    before this segment.
+    segment has run; the run's totals, such as its evaluations, are kept by
+    `ipop_run`.
     """
 
-    def __init__(self, window: int, spent: int = 0):
-        self.spent = spent
+    def __init__(self, window: int):
         self.recent = collections.deque(maxlen=window)
         self.best = math.inf
         self.since_best = 0
@@ -88,26 +87,25 @@ class SegmentHistory:
 
 
 def check_stop(
-    state: CmaState, history: SegmentHistory, budget: int, target: float
+    state: CmaState, history: SegmentHistory, evals: int, budget: int, target: float
 ) -> StopReason | None:
     """First stopping criterion triggered by the segment so far, or None.
 
     `history` holds the current segment's per-generation best fitness, with
-    a window of `hist_window(n, lam)`. The budget rule counts the run's
-    evaluations, `history.spent` plus this segment's. Criteria are checked
-    in a fixed priority order: target, budget, then the criteria that
-    restart (TOL_HIST_FUN, TOL_X, MAX_COND, `stagnation_gens` with this
-    segment's n and lam), so a generation that spends the budget never
-    starts another segment.
+    a window of `hist_window(n, lam)`. `evals` is the run's evaluation count
+    so far, earlier segments included, and the budget rule compares it with
+    `budget`. Criteria are checked in a fixed priority order: target,
+    budget, then the criteria that restart (TOL_HIST_FUN, TOL_X, MAX_COND,
+    `stagnation_gens` with this segment's n and lam), so a generation that
+    spends the budget never starts another segment.
     """
     if not history.recent:
         raise ValueError("history must contain at least one generation")
-    p = state.params
 
     if history.best <= target:
         return StopReason.TARGET_HIT
 
-    if history.spent + state.gen * p.lam >= budget:
+    if evals >= budget:
         return StopReason.BUDGET_EXHAUSTED
 
     tail = history.recent
@@ -120,7 +118,7 @@ def check_stop(
     if state.eigen.condition() > MAX_COND:
         return StopReason.CONDITION_COV
 
-    if history.since_best >= stagnation_gens(p.n, p.lam):
+    if history.since_best >= stagnation_gens(state.params.n, state.params.lam):
         return StopReason.STAGNATION
 
     return None
@@ -153,24 +151,6 @@ class RestartReport:
     @property
     def best_f(self) -> float:
         return self.log.records[-1].best_f
-
-
-def _record(
-    gen: int, evals: int, best_f: float, state: CmaState, reason
-) -> GenRecord:
-    p = state.params
-    pop = state.last_pop
-    return GenRecord(
-        gen=gen,
-        evals=evals,
-        best_f=best_f,
-        median_f=pop.median_fitness,
-        sigma=state.sigma,
-        c1=p.c_1,
-        cmu=p.c_mu,
-        cc=p.c_c,
-        stop_reason="" if reason is None else str(reason),
-    )
 
 
 def segment_states(objective, params, mean0, seg_rng, search=None):
@@ -241,13 +221,25 @@ def ipop_run(
         lambdas.append(lam)
         search = None if mode == "plain" else adapt.init_search(seg_rng.child(1))
 
-        history = SegmentHistory(hist_window(n, lam), spent)
+        history = SegmentHistory(hist_window(n, lam))
         for state, _ in segment_states(objective, params, mean0, seg_rng, search):
-            best_ever = min(best_ever, state.last_pop.best_fitness)
-            history.push(state.last_pop.best_fitness)
-            reason = check_stop(state, history, budget, target)
+            best = state.last_pop.best_fitness
+            best_ever = min(best_ever, best)
+            history.push(best)
             evals = spent + state.gen * lam
-            records.append(_record(len(records) + 1, evals, best_ever, state, reason))
+            reason = check_stop(state, history, evals, budget, target)
+            row = GenRecord(
+                gen=len(records) + 1,
+                evals=evals,
+                best_f=best_ever,
+                median_f=state.last_pop.median_fitness,
+                sigma=state.sigma,
+                c1=state.params.c_1,
+                cmu=state.params.c_mu,
+                cc=state.params.c_c,
+                stop_reason="" if reason is None else str(reason),
+            )
+            records.append(row)
             if reason is not None:
                 break
 

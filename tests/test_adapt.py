@@ -201,6 +201,17 @@ def test_h_objective_mu_sel_too_large():
             adapt.h_objective([[0.1, 0.1, 0.1]], state, pop, mu_sel)
 
 
+def test_scoring_a_state_no_update_produced_is_refused():
+    # an initial state carries no update record to replay a feasible triple on
+    start = sc.initial_state(sc.default_params(4, 8), np.full(4, 2.0), 1.0)
+    advanced = core.generation(_sphere, start, sc.RngStream(33).child(0))
+    with pytest.raises(ValueError, match="^state has no update to score"):
+        adapt.h_objective([[0.1, 0.1, 0.1]], start, advanced.last_pop, 4)
+    search = adapt.init_search(sc.RngStream(33).child(1))
+    with pytest.raises(ValueError, match="^state has no update to score"):
+        adapt.self_step(search, start, advanced)
+
+
 def _ranked_distances(monkeypatch, triples, state, pop_new):
     """The (k_feasible, lam) squared distances `h_objective` ranks."""
     seen = []

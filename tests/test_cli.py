@@ -1,6 +1,9 @@
 """CLI flag parsing, config-file merging, and exit codes."""
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -326,3 +329,16 @@ def test_rates_bad_input_is_one_line(rates_dir, tmp_path, capsys, case, code, wo
     err = capsys.readouterr().err
     assert err.startswith("selfcma: ") and err.count("\n") == 1
     assert words in err
+
+
+def test_rates_into_a_closed_pipe_exits_quietly(rates_dir):
+    # `selfcma rates ... | head -1`, made deterministic: the reader has
+    # closed its end before the first write; 141 is 128 + SIGPIPE
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    command = [sys.executable, "-m", "selfcma", "rates", "--in", str(rates_dir)]
+    try:
+        result = subprocess.run(command, stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (141, b"")

@@ -14,12 +14,13 @@ from selfcma.errors import ConfigError
 from selfcma.restart import StopReason, hist_window
 
 
-def _check(state, history, budget=10_000, target=-1.0):
-    return restart.check_stop(state, history, budget, target)
+def _check(state, history, budget=10_000, target=-1.0, spent=0):
+    evals = spent + state.gen * state.params.lam
+    return restart.check_stop(state, history, evals, budget, target)
 
 
-def _history(values, n=3, lam=6, spent=0):
-    history = restart.SegmentHistory(hist_window(n, lam), spent)
+def _history(values, n=3, lam=6):
+    history = restart.SegmentHistory(hist_window(n, lam))
     for f in values:
         history.push(f)
     return history
@@ -182,8 +183,7 @@ def test_budget_exhausted_after_eval_count():
     assert _check(short, _history([1.0])) is None
     assert _check(spent, _history([1.0])) is StopReason.BUDGET_EXHAUSTED
     # evaluations spent by earlier segments count towards the budget
-    later = _history([1.0], spent=6)
-    assert _check(short, later) is StopReason.BUDGET_EXHAUSTED
+    assert _check(short, _history([1.0]), spent=6) is StopReason.BUDGET_EXHAUSTED
     # a spent budget outranks the criteria that restart
     flat = _history([2.0] * hist_window(3, 6))
     assert _check(state, flat) is StopReason.TOL_HIST_FUN
