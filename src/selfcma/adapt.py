@@ -50,13 +50,13 @@ def penalty(triples) -> np.ndarray:
 
     The violations are added column by column, c_1 then c_mu then c_c, then
     the joint cap, so each entry has the bits of a scalar left-to-right sum.
+    That sum starts from the c_1 violation, not from 0.0: the two agree, since
+    a violation is +0.0, positive, inf or NaN, never -0.0.
     """
     h = np.asarray(triples, dtype=float)
-    v = np.zeros(h.shape[:-1])
-    for c in np.moveaxis(h, -1, 0):
-        v = v + (np.maximum(0.0, -c) + np.maximum(0.0, c - BOX_HIGH))
-    v = v + np.maximum(0.0, h[..., 0] + h[..., 1] - BOX_HIGH)
-    return PENALTY_SCALE * v
+    w = np.maximum(0.0, -h) + np.maximum(0.0, h - BOX_HIGH)
+    cap = np.maximum(0.0, h[..., 0] + h[..., 1] - BOX_HIGH)
+    return PENALTY_SCALE * (w[..., 0] + w[..., 1] + w[..., 2] + cap)
 
 
 def project_feasible(c_1: float, c_mu: float, c_c: float) -> tuple[float, float, float]:
@@ -79,9 +79,11 @@ def descending_ranks(values) -> np.ndarray:
     The largest value gets rank 1; ties are broken by lower index first.
     """
     values = np.asarray(values, dtype=float)
-    order = np.argsort(-values, axis=-1, kind="stable")
+    rows, lam = math.prod(values.shape[:-1]), values.shape[-1]
+    order = np.argsort(-values, axis=-1, kind="stable").reshape(rows, lam)
     ranks = np.empty(values.shape, dtype=np.int64)
-    np.put_along_axis(ranks, order, np.arange(1, values.shape[-1] + 1), axis=-1)
+    # a fresh array is C-contiguous, so its reshape is a view written through
+    ranks.reshape(rows, lam)[np.arange(rows)[:, None], order] = np.arange(1, lam + 1)
     return ranks
 
 
@@ -126,7 +128,7 @@ def h_objective(
     v = s @ q
     z = (pop_new.candidates - state.mean) @ v
     beta = t.h_sigma * np.sqrt(c_c * (2.0 - c_c)) * math.sqrt(t.mu_w)
-    u = np.outer(1.0 - c_c, t.path_c @ v) + np.outer(beta, t.step @ v)
+    u = (1.0 - c_c)[:, None] * (t.path_c @ v) + beta[:, None] * (t.step @ v)
     inv_d = 1.0 / ((1.0 - c_1 - c_mu)[:, None] + c_mu[:, None] * d)
     u_d = u * inv_d
     # (lambda, k) squared distances; they rank like distances, and no root

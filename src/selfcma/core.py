@@ -121,9 +121,10 @@ class StrategyParams:
         c_1, c_mu, c_c = float(c_1), float(c_mu), float(c_c)
         if not 0.0 <= c_c <= 1.0:
             raise ValueError(f"c_c must lie in [0, 1], got {c_c}")
-        if c_1 < 0.0 or c_mu < 0.0:
+        # each check is written so that a NaN rate fails it
+        if not (c_1 >= 0.0 and c_mu >= 0.0):
             raise ValueError("c_1 and c_mu must be >= 0")
-        if c_1 + c_mu > 1.0:
+        if not c_1 + c_mu <= 1.0:
             raise ValueError(f"c_1 + c_mu must be <= 1, got {c_1 + c_mu}")
         copied = copy.copy(self)
         copied.__dict__.update(c_1=c_1, c_mu=c_mu, c_c=c_c)
@@ -249,7 +250,7 @@ def covariance_update(
     ) * math.sqrt(terms.mu_w) * terms.step
     cov = (
         (1.0 - c_1 - c_mu) * terms.cov
-        + c_1 * np.outer(path_c, path_c)
+        + c_1 * (path_c[:, None] * path_c)
         + c_mu * terms.rank_mu
     )
     return path_c, linalg.symmetrize(cov)
@@ -279,7 +280,7 @@ def update_distribution(state: CmaState, candidates, fitness) -> CmaState:
             f"candidates {candidates.shape} and fitness {fitness.shape} do not "
             f"match params (lam={p.lam}, n={p.n})"
         )
-    if np.any(np.isnan(fitness)):
+    if np.isnan(fitness).any():
         bad = int(np.flatnonzero(np.isnan(fitness))[0])
         raise NonFiniteFitness(f"objective returned NaN for candidate {bad}")
     pop = EvaluatedPopulation(candidates, fitness, np.argsort(fitness, kind="stable"))

@@ -1,10 +1,11 @@
 """Rate encoding, penalties, the rank-agreement score, and the rate search."""
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import selfcma as sc
@@ -52,7 +53,27 @@ def test_penalty_positive_iff_infeasible(t):
             assert v > 0.0
 
 
-@given(t=st.lists(triples, min_size=1, max_size=6))
+def _one_rate_replaced(t, i, value):
+    return tuple(value if j == i else c for j, c in enumerate(t))
+
+
+# Signed zeros, and rows with one infinite rate: the penalty's sum starts
+# from the c_1 violation instead of 0.0, which is exact only because every
+# violation is +0.0, positive or inf. A row never holds +inf and -inf in
+# c_1 and c_mu together: their joint sum is NaN, which Python's `max` drops
+# and numpy's `maximum` propagates.
+edge_triples = st.tuples(*[st.floats(-0.5, 1.4) | st.sampled_from([-0.0, 0.0])] * 3)
+penalty_rows = edge_triples | st.builds(
+    _one_rate_replaced,
+    edge_triples,
+    st.integers(0, 2),
+    st.sampled_from([math.inf, -math.inf]),
+)
+
+
+@given(t=st.lists(penalty_rows, min_size=1, max_size=6))
+@example(t=[(-0.0, -0.0, -0.0), (0.0, -0.0, 0.9), (-0.0, 0.9, -0.0)])
+@example(t=[(math.inf, 0.1, 0.2), (0.1, -math.inf, -0.0), (0.3, 0.2, math.inf)])
 @settings(max_examples=100, deadline=None)
 def test_penalty_rows_are_the_scalar_left_to_right_sum(t):
     for (c_1, c_mu, c_c), got in zip(t, adapt.penalty(np.array(t))):
@@ -60,7 +81,8 @@ def test_penalty_rows_are_the_scalar_left_to_right_sum(t):
         for c in (c_1, c_mu, c_c):
             v += max(0.0, -c) + max(0.0, c - adapt.BOX_HIGH)
         v += max(0.0, c_1 + c_mu - adapt.BOX_HIGH)
-        assert got == adapt.PENALTY_SCALE * v
+        # the bits, so that a -0.0 would show
+        assert got.tobytes() == np.float64(adapt.PENALTY_SCALE * v).tobytes()
 
 
 @given(t=triples)
@@ -96,6 +118,22 @@ def test_descending_ranks_worked_example():
     np.testing.assert_array_equal(
         adapt.descending_ranks([1.0, 2.0, 2.0, 0.0]), [3, 1, 2, 4]
     )
+
+
+def test_descending_ranks_match_a_put_along_axis_scatter():
+    # a few repeated levels make ties common; every leading shape is ranked
+    # along its last axis, as one row would be
+    rng = np.random.default_rng(11)
+    levels = np.array([-np.inf, -1.0, -0.0, 0.0, 0.5, 2.0, np.inf])
+    for shape in [(0,), (1,), (9,), (100,), (20, 100), (3, 7), (4, 0), (2, 4, 6)]:
+        for _ in range(20):
+            values = rng.choice(levels, size=shape)
+            order = np.argsort(-values, axis=-1, kind="stable")
+            want = np.empty(values.shape, dtype=np.int64)
+            np.put_along_axis(want, order, np.arange(1, shape[-1] + 1), axis=-1)
+            got = adapt.descending_ranks(values)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 def test_contiguous_rank_rows_sum_like_one_row_at_a_time():

@@ -130,7 +130,14 @@ def test_with_cov_rates_replaces_only_rates():
     with pytest.raises(dataclasses.FrozenInstanceError):
         q.c_1 = 0.5
     # the replaced rates are still checked
-    for bad in ((0.1, 0.2, 1.5), (-0.1, 0.2, 0.3), (0.6, 0.5, 0.3)):
+    bad_rates = (
+        (0.1, 0.2, 1.5),
+        (-0.1, 0.2, 0.3),
+        (0.6, 0.5, 0.3),
+        (math.nan, 0.1, 0.5),
+        (0.1, math.nan, 0.5),
+    )
+    for bad in bad_rates:
         with pytest.raises(ValueError):
             p.with_cov_rates(*bad)
 
