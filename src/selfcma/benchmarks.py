@@ -7,7 +7,12 @@ tricks cannot help.
 
 Evaluators run once per row, so they call `ndarray.dot`, `np.add.reduce`
 and `math.sqrt` rather than numpy's slower generic wrappers; each keeps the
-bits of its `@`/`np.sum`/`np.sqrt` form, which the tests pin.
+bits of its `@`/`np.sum`/`np.sqrt` form, which the tests pin. Where a
+kernel combines an array with a constant, the constant is an array built
+once per problem, because a ufunc call with a Python-float operand costs
+more than one with an array operand. A kernel writes in place only into
+arrays it allocated itself during the call, never into `x` or those
+constants.
 """
 from __future__ import annotations
 
@@ -77,11 +82,22 @@ def rosenbrock(n: int, x_opt) -> Problem:
     if n < 2:
         raise InvalidDimension(f"rosenbrock needs n >= 2, got {n}")
     x_opt = _check_shift(n, x_opt)
+    one = np.ones(n)
+    one_tail = one[1:]
+    hundred = np.full(n - 1, 100.0)
 
     def evaluate(x):
-        z = x - x_opt + 1.0
+        # x - x_opt + 1, then 100 (head^2 - z[1:])^2 + (head - 1)^2
+        z = x - x_opt
+        z += one
         head = z[:-1]
-        terms = 100.0 * (head ** 2 - z[1:]) ** 2 + (head - 1.0) ** 2
+        terms = head * head
+        terms -= z[1:]
+        terms *= terms
+        terms *= hundred
+        tail = head - one_tail
+        tail *= tail
+        terms += tail
         return float(np.add.reduce(terms))
 
     return Problem("rosenbrock", n, x_opt, None, evaluate)
@@ -97,7 +113,8 @@ def ellipsoid(n: int, x_opt, rotation) -> Problem:
 
     def evaluate(x):
         z = rotation.dot(x - x_opt)
-        return float(scales.dot(z * z))
+        z *= z
+        return float(scales.dot(z))
 
     return Problem("ellipsoid", n, x_opt, rotation, evaluate)
 

@@ -159,8 +159,7 @@ class EvaluatedPopulation:
     @property
     def median_fitness(self) -> float:
         """Lower median of the fitness values."""
-        ranked = self.fitness[self.order]
-        return float(ranked[(self.lam - 1) // 2])
+        return float(self.fitness[self.order[(self.lam - 1) // 2]])
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,6 +13,7 @@ The shared protocol (criteria 5-7) runs every problem in both modes once
 per session: dimension 10, population 100, 15 runs, seed 42, budget
 300000, target 1e-8.
 """
+import ctypes
 import dataclasses
 import hashlib
 import itertools
@@ -56,7 +57,7 @@ RATIO_CAPS = (
 # restarting run's two modes and of the short n=40 run, as recorded on
 # PINNED_ON. A change that moves
 # output on purpose updates them and says why.
-PINNED_ON = "numpy 2.4.6, scipy-openblas 0.3.31.188.0"
+PINNED_ON = "numpy 2.4.6, scipy-openblas 0.3.31.188.0 (SkylakeX kernel)"
 PROTOCOL_DIGESTS = {
     ("sphere", "plain"):
         "1264adb6ea4b0704ed6ebb1fc7ee5cdda3593bcdf945dc2b72da45d6869f066f",
@@ -125,7 +126,22 @@ def _moved(names) -> str:
     return (
         f"output bytes moved in {', '.join(names)}; the digests were recorded"
         f" on {PINNED_ON}, this is numpy {np.__version__}, {build}"
+        f" ({_openblas_core()} kernel)"
     )
+
+
+def _openblas_core() -> str:
+    """The core OpenBLAS picked at load time, as numpy's bundled
+    scipy-openblas reports it, or "unknown" when that library is absent."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas64_*")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
 
 
 def _assert_states_identical(a, b):

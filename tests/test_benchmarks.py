@@ -112,6 +112,11 @@ def _numpy_reference(problem, x):
     return float(z[0] ** 2 + 100.0 * np.sqrt(np.sum(z[1:] ** 2)))
 
 
+def _bits(value):
+    """A float's bit pattern, so that -0.0 and 0.0 differ and NaN equals itself."""
+    return np.float64(value).tobytes()
+
+
 @pytest.mark.parametrize("n", [2, 10, 40])
 @pytest.mark.parametrize("name", benchmarks.PROBLEM_NAMES)
 def test_evaluators_match_the_numpy_reference_bit_for_bit(name, n):
@@ -123,5 +128,12 @@ def test_evaluators_match_the_numpy_reference_bit_for_bit(name, n):
     near = p.x_opt + scales * rng.standard_normal((350, n))
     far = rng.uniform(-1e3, 1e3, size=(349, n))
     points = np.vstack([p.x_opt, near, far])
-    bad = [i for i, x in enumerate(points) if p(x) != _numpy_reference(p, x)]
+    before = points.tobytes()
+    got = [_bits(p(x)) for x in points]
+    # an in-place kernel must never write into the caller's row ...
+    assert points.tobytes() == before, f"{name} n={n}: the evaluator wrote into x"
+    bad = [i for i, x in enumerate(points) if got[i] != _bits(_numpy_reference(p, x))]
     assert not bad, f"{name} n={n}: {len(bad)} of {len(points)} differ, first {bad[:5]}"
+    # ... nor into its own constants, which would move a repeated evaluation
+    again = [_bits(p(x)) for x in points[:10]]
+    assert again == got[:10], f"{name} n={n}: a repeated evaluation moved"
