@@ -80,7 +80,7 @@ def descending_ranks(values) -> np.ndarray:
     """
     values = np.asarray(values, dtype=float)
     rows, lam = math.prod(values.shape[:-1]), values.shape[-1]
-    order = np.argsort(-values, axis=-1, kind="stable").reshape(rows, lam)
+    order = (-values).argsort(axis=-1, kind="stable").reshape(rows, lam)
     ranks = np.empty(values.shape, dtype=np.int64)
     # a fresh array is C-contiguous, so its reshape is a view written through
     ranks.reshape(rows, lam)[np.arange(rows)[:, None], order] = np.arange(1, lam + 1)
@@ -122,25 +122,38 @@ def h_objective(
     if t is None:
         raise ValueError("state has no update to score: it is an initial state")
     c_1, c_mu, c_c = triples[feasible].T
-    s = t.eigen.basis / np.sqrt(t.eigen.eigenvalues)
+    s = t.eigen.whitener
     # eigh, not sym_eigen: R is only semidefinite when mu < n
     d, q = np.linalg.eigh(s.T @ t.rank_mu @ s)
     v = s @ q
     z = (pop_new.candidates - state.mean) @ v
     beta = t.h_sigma * np.sqrt(c_c * (2.0 - c_c)) * math.sqrt(t.mu_w)
-    u = (1.0 - c_c)[:, None] * (t.path_c @ v) + beta[:, None] * (t.step @ v)
-    inv_d = 1.0 / ((1.0 - c_1 - c_mu)[:, None] + c_mu[:, None] * d)
+    # u = (1 - c_c) (p V) + beta (step V); inv_d = 1 / (a + c_mu d)
+    u = (1.0 - c_c)[:, None] * (t.path_c @ v)
+    u += beta[:, None] * (t.step @ v)
+    inv_d = c_mu[:, None] * d
+    inv_d += (1.0 - c_1 - c_mu)[:, None]
+    np.divide(1.0, inv_d, out=inv_d)
     u_d = u * inv_d
-    # (lambda, k) squared distances; they rank like distances, and no root
-    # merges near-ties
-    dist = (z * z) @ inv_d.T - c_1 * (z @ u_d.T) ** 2 / (
-        1.0 + c_1 * np.add.reduce(u * u_d, axis=1)
-    )
+    # (lambda, k) squared distances (z z) inv_d^T - c_1 (z u_d^T)^2 / (1 +
+    # c_1 sum(u u_d)), built in place in that order; they rank like
+    # distances, and no root merges near-ties
+    u *= u_d
+    denom = np.add.reduce(u, axis=1)
+    denom *= c_1
+    denom += 1.0
+    rank_one = z @ u_d.T
+    rank_one *= rank_one
+    rank_one *= c_1
+    rank_one /= denom
+    z *= z
+    dist = z @ inv_d.T
+    dist -= rank_one
     ranks = descending_ranks(dist.T)
-    # fancy indexing returns a non-contiguous array, whose axis-1 sum adds in
-    # another order; on C-contiguous rows each row sums pairwise, bit for bit
-    # like a 1-D sum of that row
-    top = np.ascontiguousarray(ranks[:, pop_new.order[:mu_sel]])
+    # `take` returns a new C-contiguous array, whose rows each sum pairwise,
+    # bit for bit like a 1-D sum of that row; fancy indexing would return a
+    # non-contiguous one, whose axis-1 sum adds in another order
+    top = ranks.take(pop_new.order[:mu_sel], axis=1)
     scores[feasible] = np.add.reduce(top * (1.0 / mu_sel), axis=1)
     return scores
 
@@ -155,7 +168,7 @@ class RateSearch:
     @property
     def rates(self) -> tuple[float, float, float]:
         """The auxiliary mean, decoded and projected: (c_1, c_mu, c_c) to inject."""
-        return project_feasible(*decode(self.aux.mean))
+        return project_feasible(*decode(self.aux.mean).tolist())
 
 
 def init_search(rng: RngStream) -> RateSearch:

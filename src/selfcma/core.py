@@ -6,10 +6,16 @@ a fresh state. It records the rate-free terms of its covariance update on
 that state, from which the hyper-parameter adaptation layer scores other
 learning rates in closed form; `covariance_update` is the explicit form of
 that update under any rates, the one the tests check the scores against.
+
+The arrays a state holds are never written after it is built, and neither
+are those of its `EigenDecomp`, which works out the square-rooted
+eigenvalues and the whitener once for sampling, `linalg.inv_sqrt` and rate
+scoring. Every function here writes in place only into arrays it allocated
+during the call, keeping each sum's left-to-right order, so the in-place
+forms give the bits of the written-out expressions.
 """
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 
@@ -61,6 +67,9 @@ class StrategyParams:
         c_1: rank-one covariance learning rate, >= 0.
         c_mu: rank-mu covariance learning rate, >= 0; c_1 + c_mu <= 1.
         chi_n, h_sigma_factor: E||N(0, I_n)|| and the stall threshold's 1.4 + 2/(n+1).
+        path_sigma_factor: sqrt(c_sigma (2 - c_sigma)) * sqrt(mu_w), the
+            step-size path's gain; Python multiplies a product's scalars
+            first, so applying it gives the written-out product's bits.
     """
 
     n: int
@@ -75,6 +84,7 @@ class StrategyParams:
     c_mu: float = field(init=False)
     chi_n: float = field(init=False)
     h_sigma_factor: float = field(init=False)
+    path_sigma_factor: float = field(init=False)
 
     def __post_init__(self):
         n, lam = self.n, self.lam
@@ -109,6 +119,7 @@ class StrategyParams:
             c_mu=c_mu,
             chi_n=math.sqrt(n) * (1.0 - 1.0 / (4.0 * n) + 1.0 / (21.0 * n * n)),
             h_sigma_factor=1.4 + 2.0 / (n + 1.0),
+            path_sigma_factor=math.sqrt(c_sigma * (2.0 - c_sigma)) * math.sqrt(mu_w),
         )
 
     def with_cov_rates(self, c_1: float, c_mu: float, c_c: float) -> "StrategyParams":
@@ -126,9 +137,16 @@ class StrategyParams:
             raise ValueError("c_1 and c_mu must be >= 0")
         if not c_1 + c_mu <= 1.0:
             raise ValueError(f"c_1 + c_mu must be <= 1, got {c_1 + c_mu}")
-        copied = copy.copy(self)
-        copied.__dict__.update(c_1=c_1, c_mu=c_mu, c_c=c_c)
-        return copied
+        return _copy_with(self, c_1=c_1, c_mu=c_mu, c_c=c_c)
+
+
+def _copy_with(record, **changes):
+    """Shallow copy of a frozen record with `changes` set, not passed back
+    through `__init__`: the copy's other fields were built and checked with
+    `record`, and the caller checks its `changes`."""
+    copied = object.__new__(type(record))
+    copied.__dict__.update(record.__dict__, **changes)
+    return copied
 
 
 def default_params(n: int, lam: int | None = None) -> StrategyParams:
@@ -200,6 +218,11 @@ class CmaState:
     last_pop: EvaluatedPopulation | None
     terms: UpdateTerms | None
 
+    def with_params(self, params: StrategyParams) -> "CmaState":
+        """This state with `params` in place of its own, the rates the next
+        update uses; `params` must share this state's n and lam."""
+        return _copy_with(self, params=params)
+
 
 def initial_state(params: StrategyParams, mean, sigma: float) -> CmaState:
     """Fresh state: identity covariance, zero evolution paths, generation 0."""
@@ -231,8 +254,11 @@ def sample_population(state: CmaState, rng: RngStream) -> np.ndarray:
     """
     p = state.params
     z = rng.standard_normal_matrix(p.lam, p.n)
-    scaled = z * np.sqrt(state.eigen.eigenvalues)
-    return state.mean + state.sigma * (scaled @ state.eigen.basis.T)
+    z *= state.eigen.sqrt_eigenvalues
+    x = z @ state.eigen.basis.T
+    x *= state.sigma
+    x += state.mean
+    return x
 
 
 def covariance_update(
@@ -244,14 +270,18 @@ def covariance_update(
     C is symmetrized before it is returned, so that floating-point drift
     accumulated across many updates cannot leak into the eigenbasis.
     """
-    path_c = (1.0 - c_c) * terms.path_c + terms.h_sigma * math.sqrt(
-        c_c * (2.0 - c_c)
-    ) * math.sqrt(terms.mu_w) * terms.step
-    cov = (
-        (1.0 - c_1 - c_mu) * terms.cov
-        + c_1 * (path_c[:, None] * path_c)
-        + c_mu * terms.rank_mu
-    )
+    # gain * step + (1 - c_c) p has the bits of the written-out
+    # (1 - c_c) p + h sqrt(c_c (2 - c_c)) sqrt(mu_w) step
+    gain = terms.h_sigma * math.sqrt(c_c * (2.0 - c_c)) * math.sqrt(terms.mu_w)
+    path_c = gain * terms.step
+    path_c += (1.0 - c_c) * terms.path_c
+    # ((1 - c_1 - c_mu) C0 + c_1 p p^T) + c_mu R, summed in that order
+    cov = (1.0 - c_1 - c_mu) * terms.cov
+    term = path_c[:, None] * path_c
+    term *= c_1
+    cov += term
+    np.multiply(c_mu, terms.rank_mu, out=term)
+    cov += term
     return path_c, linalg.symmetrize(cov)
 
 
@@ -282,16 +312,17 @@ def update_distribution(state: CmaState, candidates, fitness) -> CmaState:
     if np.isnan(fitness).any():
         bad = int(np.flatnonzero(np.isnan(fitness))[0])
         raise NonFiniteFitness(f"objective returned NaN for candidate {bad}")
-    pop = EvaluatedPopulation(candidates, fitness, np.argsort(fitness, kind="stable"))
+    pop = EvaluatedPopulation(candidates, fitness, fitness.argsort(kind="stable"))
 
     selected = pop.candidates[pop.order[: p.mu]]
     new_mean = p.weights @ selected
-    step = (new_mean - state.mean) / state.sigma
+    step = new_mean - state.mean
+    step /= state.sigma
 
-    inv_sqrt_c = linalg.inv_sqrt(state.eigen)
-    path_sigma = (1.0 - p.c_sigma) * state.path_sigma + math.sqrt(
-        p.c_sigma * (2.0 - p.c_sigma)
-    ) * math.sqrt(p.mu_w) * (inv_sqrt_c @ step)
+    # (1 - c_sigma) p_sigma + g C^{-1/2} step, the gain g a field of p
+    path_sigma = linalg.inv_sqrt(state.eigen) @ step
+    path_sigma *= p.path_sigma_factor
+    path_sigma += (1.0 - p.c_sigma) * state.path_sigma
     ps_norm = math.sqrt(path_sigma.dot(path_sigma))
 
     t_next = state.gen + 1
@@ -302,7 +333,8 @@ def update_distribution(state: CmaState, candidates, fitness) -> CmaState:
     )
     h_sigma = 1.0 if ps_norm < threshold else 0.0
 
-    steps = (selected - state.mean) / state.sigma
+    steps = selected - state.mean
+    steps /= state.sigma
     rank_mu = (steps.T * p.weights) @ steps
     terms = UpdateTerms(
         state.path_c, state.cov, state.eigen, p.mu_w, step, h_sigma, rank_mu

@@ -2,11 +2,15 @@
 
 All routines operate on plain numpy arrays, take one (n, n) matrix and
 assume it is symmetric. `sym_eigen` decomposes and owns the degeneracy
-rule; rate scoring whitens through the decomposition it accepted.
+rule; rate scoring whitens through the decomposition it accepted. An
+`EigenDecomp` works out `sqrt_eigenvalues` and the whitener `basis /
+sqrt_eigenvalues` once, when it is built, for sampling, `inv_sqrt` and
+rate scoring to share; nothing writes into them. A routine writes in place
+only into arrays it allocated during the call, never into its arguments.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,7 +34,9 @@ def _square(c) -> np.ndarray:
 def symmetrize(c: np.ndarray) -> np.ndarray:
     """Return (C + C^T) / 2 as a new float array."""
     c = _square(c)
-    return (c + c.T) / 2.0
+    out = c + c.T
+    out /= 2.0
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,10 +46,24 @@ class EigenDecomp:
     Attributes:
         basis: (n, n) array whose columns are unit eigenvectors.
         eigenvalues: (n,) array, strictly positive, sorted ascending.
+        sqrt_eigenvalues: (n,) `np.sqrt(eigenvalues)`.
+        whitener: (n, n) `basis / sqrt_eigenvalues`, so that
+            `whitener.T @ C @ whitener` is the identity.
+
+    Both derived arrays are computed once, at construction: every
+    decomposition the algorithm builds is sampled from and whitened, and a
+    lazy `functools.cached_property` costs more on Python 3.11 than the
+    square root it saves.
     """
 
     basis: np.ndarray
     eigenvalues: np.ndarray
+    sqrt_eigenvalues: np.ndarray = field(init=False)
+    whitener: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        root = np.sqrt(self.eigenvalues)
+        self.__dict__.update(sqrt_eigenvalues=root, whitener=self.basis / root)
 
     def condition(self) -> float:
         """Ratio of largest to smallest eigenvalue."""
@@ -76,8 +96,7 @@ def sym_eigen(c: np.ndarray) -> EigenDecomp:
 
 def inv_sqrt(decomp: EigenDecomp) -> np.ndarray:
     """C^{-1/2} = B diag(w^{-1/2}) B^T for a decomposed SPD matrix."""
-    b, w = decomp.basis, decomp.eigenvalues
-    return symmetrize((b / np.sqrt(w)) @ b.T)
+    return symmetrize(decomp.whitener @ decomp.basis.T)
 
 
 def mahalanobis(x: np.ndarray, mean: np.ndarray, inv_sqrt_c: np.ndarray):

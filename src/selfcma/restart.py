@@ -8,7 +8,6 @@ mean with the initial step-size.
 from __future__ import annotations
 
 import collections
-import dataclasses
 import enum
 import math
 from dataclasses import dataclass
@@ -171,8 +170,7 @@ def segment_states(objective, params, mean0, seg_rng, search=None):
         advanced = core.generation(objective, state, step_rng)
         if search is not None and state.terms is not None:
             search = adapt.self_step(search, state, advanced)
-            injected = params.with_cov_rates(*search.rates)
-            advanced = dataclasses.replace(advanced, params=injected)
+            advanced = advanced.with_params(params.with_cov_rates(*search.rates))
         yield advanced, search
         state = advanced
 

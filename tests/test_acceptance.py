@@ -55,29 +55,58 @@ RATIO_CAPS = (
 
 # sha256 of each protocol cell's CSVs (see _csv_digest), of the short
 # restarting run's two modes and of the short n=40 run, as recorded on
-# PINNED_ON. A change that moves
-# output on purpose updates them and says why.
-PINNED_ON = "numpy 2.4.6, scipy-openblas 0.3.31.188.0 (SkylakeX kernel)"
+# PINNED_ON, one table per OpenBLAS kernel: the last bits of its BLAS
+# products differ between its AVX-512 (SkylakeX) and AVX2 (Haswell)
+# kernels, and with them the run bytes. The tests read the table of the
+# kernel OpenBLAS picked (_pinned); a kernel with no table fails. A change
+# that moves output on purpose updates every table and says why.
+PINNED_ON = "numpy 2.4.6, scipy-openblas 0.3.31.188.0"
 PROTOCOL_DIGESTS = {
-    ("sphere", "plain"):
-        "1264adb6ea4b0704ed6ebb1fc7ee5cdda3593bcdf945dc2b72da45d6869f066f",
-    ("sphere", "self_adaptive"):
-        "78d2d59dd53d854e88a61215c8a0f73ad2aa4b7b2b0fa38578dddacdd4034fbe",
-    ("rosenbrock", "plain"):
-        "d65509b7a65b237d1dd184544109bad4a931ed55658e9d3c1452f907a92077d6",
-    ("rosenbrock", "self_adaptive"):
-        "ac2672168e9734c3ea49c161145dfaab9f3844a7172ee01ab0ce91674a9e2ad3",
-    ("ellipsoid", "plain"):
-        "34a9aa066439976dfce37e0c31ffa25e1e4f7e23088042a22151718b07e72d06",
-    ("ellipsoid", "self_adaptive"):
-        "8c601dbb270ac3b4a87d9efc6baf698b2002cc32cb76862599cb9c50581aba00",
-    ("sharpridge", "plain"):
-        "aae66fa5ebc8b9bb5b1481eeca944f88ddefc543b8e9ffecd07f0404519574a9",
-    ("sharpridge", "self_adaptive"):
-        "e0dbcea2b1f00ddcf418257ab0837f75965f906c86b52f3ef73048cce1d37674",
+    "SkylakeX": {
+        ("sphere", "plain"):
+            "1264adb6ea4b0704ed6ebb1fc7ee5cdda3593bcdf945dc2b72da45d6869f066f",
+        ("sphere", "self_adaptive"):
+            "78d2d59dd53d854e88a61215c8a0f73ad2aa4b7b2b0fa38578dddacdd4034fbe",
+        ("rosenbrock", "plain"):
+            "d65509b7a65b237d1dd184544109bad4a931ed55658e9d3c1452f907a92077d6",
+        ("rosenbrock", "self_adaptive"):
+            "ac2672168e9734c3ea49c161145dfaab9f3844a7172ee01ab0ce91674a9e2ad3",
+        ("ellipsoid", "plain"):
+            "34a9aa066439976dfce37e0c31ffa25e1e4f7e23088042a22151718b07e72d06",
+        ("ellipsoid", "self_adaptive"):
+            "8c601dbb270ac3b4a87d9efc6baf698b2002cc32cb76862599cb9c50581aba00",
+        ("sharpridge", "plain"):
+            "aae66fa5ebc8b9bb5b1481eeca944f88ddefc543b8e9ffecd07f0404519574a9",
+        ("sharpridge", "self_adaptive"):
+            "e0dbcea2b1f00ddcf418257ab0837f75965f906c86b52f3ef73048cce1d37674",
+    },
+    "Haswell": {
+        ("sphere", "plain"):
+            "596d2e410e212ec39e8620fb2d6e18bfaa4a27fa906ddf7583f8e451f3039d5b",
+        ("sphere", "self_adaptive"):
+            "efbf412ea4f82ac9038e829324f9b51c1daad9c79af195c6ccae8964333e73a4",
+        ("rosenbrock", "plain"):
+            "f7a6bebd550d08aaded6e2d411a66bae779782c57abd65be0f8229c48f82ad6e",
+        ("rosenbrock", "self_adaptive"):
+            "e38a7c8927682278e9dfd185271ffa73a845b3c5fa27db451006df6f94429f38",
+        ("ellipsoid", "plain"):
+            "e3d55adf85995c07179499e8711f4734e0d9f332e1006be94084bb752d8dba1c",
+        ("ellipsoid", "self_adaptive"):
+            "7f8b30c74286a1857d308eaf33813613722ff4445858b4f35aad9f336426322f",
+        ("sharpridge", "plain"):
+            "55c135bbae73b468599ba1ddaaa9b220b79ea2e6dab6ed0617d6813065f94e29",
+        ("sharpridge", "self_adaptive"):
+            "5aacec61a3e92355b427c8d24fb2a14d7880ebe5c3507f405024bbda5996badc",
+    },
 }
-RESTART_DIGEST = "1313b400951150edbf79f4c622d820fc93fb9c35c1d7bbe44fd9730275e09e1a"
-N40_DIGEST = "3516871685d15ae8afea6854b7019a68cb887cd8b3d1c6ba2def6a728a2c3349"
+RESTART_DIGEST = {
+    "SkylakeX": "1313b400951150edbf79f4c622d820fc93fb9c35c1d7bbe44fd9730275e09e1a",
+    "Haswell": "aebc769d0f565e47879471969d1ee686ada9e74ba60b442e7d475d3abe6efd83",
+}
+N40_DIGEST = {
+    "SkylakeX": "3516871685d15ae8afea6854b7019a68cb887cd8b3d1c6ba2def6a728a2c3349",
+    "Haswell": "c5dbb7930af8b7388d38674e952b1b04ffd58a30539b9c3fad9013db7c64fb0a",
+}
 
 
 @pytest.fixture(scope="session")
@@ -123,11 +152,24 @@ def _moved(names) -> str:
         build = f"{blas['name']} {blas.get('version', '')}".rstrip()
     except (TypeError, KeyError):  # numpy before 1.26 has no dict mode
         build = "an unknown BLAS"
+    core = _openblas_core()
     return (
-        f"output bytes moved in {', '.join(names)}; the digests were recorded"
-        f" on {PINNED_ON}, this is numpy {np.__version__}, {build}"
-        f" ({_openblas_core()} kernel)"
+        f"output bytes moved in {', '.join(names)}; the {core} digests were"
+        f" recorded on {PINNED_ON}, this is numpy {np.__version__}, {build}"
+        f" ({core} kernel)"
     )
+
+
+def _pinned(table):
+    """The entry of a digest table for the kernel OpenBLAS picked; a kernel
+    with no recorded digests fails the pin, naming that kernel."""
+    core = _openblas_core()
+    if core not in table:
+        pytest.fail(
+            f"no digests are recorded for OpenBLAS's {core} kernel, only for"
+            f" {', '.join(table)} (on {PINNED_ON})"
+        )
+    return table[core]
 
 
 def _openblas_core() -> str:
@@ -386,27 +428,27 @@ def test_criterion_7_noninferior_with_sharpridge_speedup(protocol_dirs):
 
 
 def test_protocol_grid_bytes_are_pinned(protocol_dirs):
+    pinned = _pinned(PROTOCOL_DIGESTS)
     moved = [
         f"{problem}/{mode}"
         for problem in benchmarks.PROBLEM_NAMES
         for mode in harness.MODES
-        if _csv_digest(protocol_dirs[problem, mode])
-        != PROTOCOL_DIGESTS[problem, mode]
+        if _csv_digest(protocol_dirs[problem, mode]) != pinned[problem, mode]
     ]
     assert not moved, _moved(moved)
 
 
-def test_restarting_run_bytes_are_pinned(tmp_path):
-    # a target below the minimum is never hit: each segment ends on a
-    # restart criterion until the budget ends the run
-    start = time.perf_counter()
+def _restarting_run_digest(base) -> str:
+    """Digest of one short sphere run per mode under `base`; a target below
+    the minimum is never hit, so each segment ends on a restart criterion
+    until the budget ends the run."""
     dirs = []
     for mode in harness.MODES:
         cfg = harness.ExperimentConfig(
             problem="sphere",
             dim=4,
             mode=mode,
-            out_dir=str(tmp_path / mode),
+            out_dir=str(Path(base) / mode),
             lam=8,
             runs=1,
             seed=1,
@@ -417,9 +459,37 @@ def test_restarting_run_bytes_are_pinned(tmp_path):
         assert report.restarts >= 2, (mode, report.stop_reasons)
         assert report.final_reason is not restart.StopReason.TARGET_HIT, mode
         dirs.append(cfg.out_dir)
-    assert _csv_digest(*dirs) == RESTART_DIGEST, _moved(["sphere restart run"])
+    return _csv_digest(*dirs)
+
+
+def test_restarting_run_bytes_are_pinned(tmp_path):
+    start = time.perf_counter()
+    digest = _restarting_run_digest(tmp_path)
+    assert digest == _pinned(RESTART_DIGEST), _moved(["sphere restart run"])
     elapsed = time.perf_counter() - start
     assert elapsed < 2.0, f"two restarting runs took {elapsed:.2f}s"
+
+
+def test_restarting_run_bytes_are_pinned_under_the_avx2_kernel(tmp_path):
+    # OpenBLAS reads OPENBLAS_CORETYPE when it loads, so the Haswell run needs
+    # a fresh interpreter; with it an AVX-512 host checks both tables
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import test_acceptance as t;"
+        " print(t._openblas_core(), t._restarting_run_digest(sys.argv[2]))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(Path(__file__).parent), str(tmp_path)],
+        env=dict(os.environ, OPENBLAS_CORETYPE="Haswell"),
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    core, digest = done.stdout.split()
+    assert core == "Haswell", f"OPENBLAS_CORETYPE=Haswell ran the {core} kernel"
+    assert digest == RESTART_DIGEST["Haswell"], (
+        f"output bytes moved in the sphere restart run under the Haswell"
+        f" kernel; its digests were recorded on {PINNED_ON}"
+    )
 
 
 def test_n40_self_adaptive_run_bytes_are_pinned(tmp_path):
@@ -437,7 +507,7 @@ def test_n40_self_adaptive_run_bytes_are_pinned(tmp_path):
         target=PROTOCOL_TARGET,
     )
     harness.run_experiment(cfg)
-    assert _csv_digest(tmp_path) == N40_DIGEST, _moved(["n=40 ellipsoid run"])
+    assert _csv_digest(tmp_path) == _pinned(N40_DIGEST), _moved(["n=40 ellipsoid run"])
 
 
 def test_criterion_8_cli_reruns_byte_identical(tmp_path):

@@ -425,6 +425,60 @@ def test_self_step_scores_the_replay_and_steps_only_the_auxiliary():
     assert stepped.aux.sigma == want.sigma
 
 
+def _array_bytes(root, name):
+    """{dotted path: bytes} of every array reachable from `root` through
+    record fields (derived ones included) and tuples."""
+    found = {}
+
+    def walk(obj, path):
+        if isinstance(obj, np.ndarray):
+            found[path] = obj.tobytes()
+        elif dataclasses.is_dataclass(obj):
+            for key, value in vars(obj).items():
+                walk(value, f"{path}.{key}")
+        elif isinstance(obj, tuple):
+            for i, value in enumerate(obj):
+                walk(value, f"{path}[{i}]")
+
+    walk(root, name)
+    return found
+
+
+def test_no_function_writes_into_its_inputs():
+    # the in-place forms write only into arrays they allocate during the
+    # call; every array an argument holds or reaches keeps its bytes
+    state = make_random_state(seed=61, n=5, lam=10)
+    pop = make_random_pop(state, seed=62)
+    updated = core.update_distribution(state, pop.candidates, pop.fitness)
+    pop_new = make_random_pop(updated, seed=63)
+    advanced = core.update_distribution(updated, pop_new.candidates, pop_new.fitness)
+    search = adapt.self_step(adapt.init_search(sc.RngStream(64)), updated, advanced)
+    assert search.aux.terms is not None and updated.terms is not None
+    u = core.sample_population(search.aux, sc.RngStream(65))
+    triples = np.vstack([adapt.decode(u), [[-0.1, 0.2, 0.3], [0.5, 0.5, 0.2]]])
+    last = advanced.last_pop
+    calls = {
+        "sample_population": (core.sample_population, (updated, sc.RngStream(66))),
+        "update_distribution": (
+            core.update_distribution, (updated, last.candidates, last.fitness)
+        ),
+        "covariance_update": (core.covariance_update, (updated.terms, 0.1, 0.2, 0.3)),
+        "h_objective": (
+            adapt.h_objective, (triples, updated, last, updated.params.mu)
+        ),
+        "self_step": (adapt.self_step, (search, updated, advanced)),
+        "inv_sqrt": (linalg.inv_sqrt, (updated.eigen,)),
+        "symmetrize": (linalg.symmetrize, (updated.cov,)),
+    }
+    for name, (fn, args) in calls.items():
+        before = _array_bytes(args, "args")
+        fn(*args)
+        after = _array_bytes(args, "args")
+        assert before.keys() == after.keys(), name
+        written = [path for path in before if before[path] != after[path]]
+        assert not written, f"{name} wrote into {written}"
+
+
 def test_segment_loop_injects_the_search_rates():
     params = sc.default_params(4, 8)
     search = adapt.init_search(sc.RngStream(33).child(1))

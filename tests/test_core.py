@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import selfcma as sc
 from conftest import make_random_pop, make_random_state, state_as_dict
 from reference_impl import reference_default_params, reference_update
-from selfcma import core
+from selfcma import core, linalg
 from selfcma.errors import (
     DimensionMismatch,
     InvalidDimension,
@@ -109,6 +109,7 @@ def test_params_validation():
         "c_mu": 0.4,
         "chi_n": 2.0,
         "h_sigma_factor": 1.8,
+        "path_sigma_factor": 1.0,
     }
     for name, value in derived.items():
         with pytest.raises(ValueError):
@@ -125,6 +126,7 @@ def test_with_cov_rates_replaces_only_rates():
     assert (q.c_1, q.c_mu, q.c_c) == (0.1, 0.2, 0.3)
     assert q.c_sigma == p.c_sigma and q.lam == p.lam
     assert (q.chi_n, q.h_sigma_factor) == (p.chi_n, p.h_sigma_factor)
+    assert q.path_sigma_factor == p.path_sigma_factor
     np.testing.assert_array_equal(q.weights, p.weights)
     assert (p.c_1, p.c_mu, p.c_c) != (0.1, 0.2, 0.3)  # p is not changed
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -170,6 +172,45 @@ def test_covariance_update_matches_the_written_out_update():
             path, cov = core.covariance_update(terms, c_1, c_mu, c_c)
             np.testing.assert_array_equal(path, want_path)
             np.testing.assert_array_equal(cov, want_cov)
+
+
+def _same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n, lam", [(3, 20), (10, 100), (40, 15)])
+def test_in_place_forms_match_the_written_out_forms_bit_for_bit(n, lam):
+    # the stored roots and the arrays built in place carry the bits of the
+    # expressions they replace, for the same draw
+    state = make_random_state(seed=70 + n, n=n, lam=lam, cond_exp=3.0)
+    b, w = state.eigen.basis, state.eigen.eigenvalues
+    _same_bits(state.eigen.sqrt_eigenvalues, np.sqrt(w))
+    _same_bits(state.eigen.whitener, b / np.sqrt(w))
+    _same_bits(linalg.inv_sqrt(state.eigen), linalg.symmetrize((b / np.sqrt(w)) @ b.T))
+    lopsided = sc.RngStream(n).standard_normal_matrix(n, n)
+    _same_bits(linalg.symmetrize(lopsided), (lopsided + lopsided.T) / 2.0)
+    z = sc.RngStream(71).standard_normal_matrix(lam, n)
+    _same_bits(
+        core.sample_population(state, sc.RngStream(71)),
+        state.mean + state.sigma * ((z * np.sqrt(w)) @ b.T),
+    )
+    # the update's step, step-size path and rank-mu matrix
+    pop = make_random_pop(state, seed=72)
+    updated = core.update_distribution(state, pop.candidates, pop.fitness)
+    p = state.params
+    selected = pop.candidates[pop.order[: p.mu]]
+    step = (p.weights @ selected - state.mean) / state.sigma
+    _same_bits(updated.terms.step, step)
+    _same_bits(
+        updated.path_sigma,
+        (1.0 - p.c_sigma) * state.path_sigma
+        + math.sqrt(p.c_sigma * (2.0 - p.c_sigma))
+        * math.sqrt(p.mu_w)
+        * (linalg.inv_sqrt(state.eigen) @ step),
+    )
+    steps = (selected - state.mean) / state.sigma
+    _same_bits(updated.terms.rank_mu, (steps.T * p.weights) @ steps)
 
 
 def test_initial_state_shape_and_validation():
