@@ -35,6 +35,11 @@ AUX_DIM = 3
 AUX_SIGMA0 = 0.2
 DEFAULT_LAMBDA_H = 20
 
+# The stacked arithmetic's constants as 0-d arrays: numpy 2 takes an array
+# operand faster than a Python float, and the float operations are the same.
+_ZERO, _ONE, _TWO = np.zeros(()), np.ones(()), np.full((), 2.0)
+_BOX_HIGH, _PENALTY_SCALE = np.full((), BOX_HIGH), np.full((), PENALTY_SCALE)
+
 
 def decode(u) -> np.ndarray:
     """Scale unit-box points by BOX_HIGH: (..., 3) -> (..., 3) rate triples
@@ -42,7 +47,7 @@ def decode(u) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if u.ndim == 0 or u.shape[-1] != AUX_DIM:
         raise DimensionMismatch(f"expected shape (..., {AUX_DIM}), got {u.shape}")
-    return BOX_HIGH * u
+    return u * _BOX_HIGH
 
 
 def penalty(triples) -> np.ndarray:
@@ -54,15 +59,22 @@ def penalty(triples) -> np.ndarray:
     a violation is +0.0, positive, inf or NaN, never -0.0.
     """
     h = np.asarray(triples, dtype=float)
-    w = np.maximum(0.0, -h) + np.maximum(0.0, h - BOX_HIGH)
-    cap = np.maximum(0.0, h[..., 0] + h[..., 1] - BOX_HIGH)
-    return PENALTY_SCALE * (w[..., 0] + w[..., 1] + w[..., 2] + cap)
+    w = np.maximum(_ZERO, -h)
+    w += np.maximum(_ZERO, h - _BOX_HIGH)
+    cap = np.maximum(_ZERO, h[..., 0] + h[..., 1] - _BOX_HIGH)
+    total = w[..., 0] + w[..., 1]
+    total += w[..., 2]
+    total += cap
+    total *= _PENALTY_SCALE
+    return total
 
 
 def project_feasible(c_1: float, c_mu: float, c_c: float) -> tuple[float, float, float]:
     """Clamp each rate to [0, BOX_HIGH], then shrink (c_1, c_mu) radially
     onto the joint cap if their sum still exceeds it."""
-    c_1, c_mu, c_c = (min(max(float(c), 0.0), BOX_HIGH) for c in (c_1, c_mu, c_c))
+    c_1 = min(max(float(c_1), 0.0), BOX_HIGH)
+    c_mu = min(max(float(c_mu), 0.0), BOX_HIGH)
+    c_c = min(max(float(c_c), 0.0), BOX_HIGH)
     # The shrink can round one ulp back above the cap, so repeat until it
     # lands inside; two passes suffice in practice.
     while c_1 + c_mu > BOX_HIGH:
@@ -115,25 +127,35 @@ def h_objective(
     scores = -penalty(triples)
     # a sum of max(0, .) terms is 0 exactly when every bound holds; a NaN
     # row compares unequal and stays infeasible
-    feasible = scores == 0
-    if not feasible.any():
+    (feasible,) = (scores == 0).nonzero()
+    if not feasible.size:
         return scores
     t = state.terms
     if t is None:
         raise ValueError("state has no update to score: it is an initial state")
-    c_1, c_mu, c_c = triples[feasible].T
+    rates = triples.take(feasible, axis=0)
+    # c_1 as a row of rates, c_mu and c_c as (k, 1) columns for broadcasting;
+    # keep holds 1 - c_1, 1 - c_mu and 1 - c_c
+    c_1, c_mu, c_c = rates[:, 0], rates[:, 1:2], rates[:, 2:]
+    keep = _ONE - rates
     s = t.eigen.whitener
     # eigh, not sym_eigen: R is only semidefinite when mu < n
-    d, q = np.linalg.eigh(s.T @ t.rank_mu @ s)
-    v = s @ q
-    z = (pop_new.candidates - state.mean) @ v
-    beta = t.h_sigma * np.sqrt(c_c * (2.0 - c_c)) * math.sqrt(t.mu_w)
-    # u = (1 - c_c) (p V) + beta (step V); inv_d = 1 / (a + c_mu d)
-    u = (1.0 - c_c)[:, None] * (t.path_c @ v)
-    u += beta[:, None] * (t.step @ v)
-    inv_d = c_mu[:, None] * d
-    inv_d += (1.0 - c_1 - c_mu)[:, None]
-    np.divide(1.0, inv_d, out=inv_d)
+    d, q = np.linalg.eigh(s.T.dot(t.rank_mu).dot(s))
+    v = s.dot(q)
+    z = (pop_new.candidates - state.mean).dot(v)
+    # beta = h sqrt(c_c (2 - c_c)) sqrt(mu_w), u = (1 - c_c) (p V) + beta
+    # (step V) and inv_d = 1 / (a + c_mu d), a = 1 - c_1 - c_mu; each product
+    # of two factors is commutative, so building them in place keeps the bits
+    beta = _TWO - c_c
+    beta *= c_c
+    np.sqrt(beta, out=beta)
+    beta *= t.h_sigma
+    beta *= math.sqrt(t.mu_w)
+    u = keep[:, 2:] * t.path_c.dot(v)
+    u += beta * t.step.dot(v)
+    inv_d = c_mu * d
+    inv_d += keep[:, :1] - c_mu
+    np.divide(_ONE, inv_d, out=inv_d)
     u_d = u * inv_d
     # (lambda, k) squared distances (z z) inv_d^T - c_1 (z u_d^T)^2 / (1 +
     # c_1 sum(u u_d)), built in place in that order; they rank like
@@ -141,13 +163,13 @@ def h_objective(
     u *= u_d
     denom = np.add.reduce(u, axis=1)
     denom *= c_1
-    denom += 1.0
-    rank_one = z @ u_d.T
+    denom += _ONE
+    rank_one = z.dot(u_d.T)
     rank_one *= rank_one
     rank_one *= c_1
     rank_one /= denom
     z *= z
-    dist = z @ inv_d.T
+    dist = z.dot(inv_d.T)
     dist -= rank_one
     ranks = descending_ranks(dist.T)
     # `take` returns a new C-contiguous array, whose rows each sum pairwise,

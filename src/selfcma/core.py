@@ -12,7 +12,9 @@ are those of its `EigenDecomp`, which works out the square-rooted
 eigenvalues and the whitener once for sampling, `linalg.inv_sqrt` and rate
 scoring. Every function here writes in place only into arrays it allocated
 during the call, keeping each sum's left-to-right order, so the in-place
-forms give the bits of the written-out expressions.
+forms give the bits of the written-out expressions. Matrix products are
+written `a.dot(b)`: for these float64 operands it makes the same BLAS call
+as `a @ b` in about half the time.
 """
 from __future__ import annotations
 
@@ -28,6 +30,7 @@ from .errors import (
     InvalidLambda,
     NonFiniteFitness,
     NonFiniteState,
+    NonPositiveDefinite,
 )
 from .linalg import EigenDecomp
 from .rng import RngStream
@@ -138,6 +141,16 @@ class StrategyParams:
         if not c_1 + c_mu <= 1.0:
             raise ValueError(f"c_1 + c_mu must be <= 1, got {c_1 + c_mu}")
         return _copy_with(self, c_1=c_1, c_mu=c_mu, c_c=c_c)
+
+
+def _record(cls, **fields):
+    """A frozen record of `cls` with every field given, set directly rather
+    than through the dataclass `__init__`, whose `object.__setattr__` per
+    field makes it about three times as slow; the caller has checked the
+    values. Each update builds three records this way."""
+    record = object.__new__(cls)
+    record.__dict__.update(fields)
+    return record
 
 
 def _copy_with(record, **changes):
@@ -255,7 +268,7 @@ def sample_population(state: CmaState, rng: RngStream) -> np.ndarray:
     p = state.params
     z = rng.standard_normal_matrix(p.lam, p.n)
     z *= state.eigen.sqrt_eigenvalues
-    x = z @ state.eigen.basis.T
+    x = z.dot(state.eigen.basis.T)
     x *= state.sigma
     x += state.mean
     return x
@@ -309,21 +322,26 @@ def update_distribution(state: CmaState, candidates, fitness) -> CmaState:
             f"candidates {candidates.shape} and fitness {fitness.shape} do not "
             f"match params (lam={p.lam}, n={p.n})"
         )
-    if np.isnan(fitness).any():
+    order = fitness.argsort(kind="stable")
+    # the sort puts every NaN last, so the last-ranked value is NaN iff any is
+    if math.isnan(fitness[order[-1]]):
         bad = int(np.flatnonzero(np.isnan(fitness))[0])
         raise NonFiniteFitness(f"objective returned NaN for candidate {bad}")
-    pop = EvaluatedPopulation(candidates, fitness, fitness.argsort(kind="stable"))
+    pop = _record(
+        EvaluatedPopulation, candidates=candidates, fitness=fitness, order=order
+    )
 
-    selected = pop.candidates[pop.order[: p.mu]]
-    new_mean = p.weights @ selected
+    selected = candidates[order[: p.mu]]
+    new_mean = p.weights.dot(selected)
     step = new_mean - state.mean
     step /= state.sigma
 
     # (1 - c_sigma) p_sigma + g C^{-1/2} step, the gain g a field of p
-    path_sigma = linalg.inv_sqrt(state.eigen) @ step
+    path_sigma = linalg.inv_sqrt(state.eigen).dot(step)
     path_sigma *= p.path_sigma_factor
     path_sigma += (1.0 - p.c_sigma) * state.path_sigma
-    ps_norm = math.sqrt(path_sigma.dot(path_sigma))
+    ps_square = path_sigma.dot(path_sigma)
+    ps_norm = math.sqrt(ps_square)
 
     t_next = state.gen + 1
     threshold = (
@@ -335,28 +353,46 @@ def update_distribution(state: CmaState, candidates, fitness) -> CmaState:
 
     steps = selected - state.mean
     steps /= state.sigma
-    rank_mu = (steps.T * p.weights) @ steps
-    terms = UpdateTerms(
-        state.path_c, state.cov, state.eigen, p.mu_w, step, h_sigma, rank_mu
+    rank_mu = (steps.T * p.weights).dot(steps)
+    terms = _record(
+        UpdateTerms,
+        path_c=state.path_c,
+        cov=state.cov,
+        eigen=state.eigen,
+        mu_w=p.mu_w,
+        step=step,
+        h_sigma=h_sigma,
+        rank_mu=rank_mu,
     )
     path_c, new_cov = covariance_update(terms, p.c_1, p.c_mu, p.c_c)
 
-    new_sigma = state.sigma * math.exp(
-        (p.c_sigma / p.d_sigma) * (ps_norm / p.chi_n - 1.0)
-    )
+    try:
+        new_sigma = state.sigma * math.exp(
+            (p.c_sigma / p.d_sigma) * (ps_norm / p.chi_n - 1.0)
+        )
+    except OverflowError:  # the exponent passed log(max double)
+        new_sigma = math.inf
 
-    if not (
-        np.isfinite(new_mean).all()
-        and np.isfinite(path_sigma).all()
-        and np.isfinite(path_c).all()
-        and np.isfinite(new_cov).all()
-        and math.isfinite(new_sigma)
-        and new_sigma > 0.0
-    ):
+    # A vector's dot with itself is finite only if every entry is, so a
+    # finite sum of the three dots clears all three vectors; entries too
+    # large to square are looked at one by one. `sym_eigen` checks the
+    # covariance's entries, and its refusal of a non-finite one is this
+    # same divergence.
+    vectors_finite = math.isfinite(
+        ps_square + new_mean.dot(new_mean) + path_c.dot(path_c)
+    ) or all(np.isfinite(v).all() for v in (new_mean, path_sigma, path_c))
+    if not (vectors_finite and math.isfinite(new_sigma) and new_sigma > 0.0):
         raise NonFiniteState(f"strategy state diverged at generation {t_next}")
-
-    eigen = linalg.sym_eigen(new_cov)
-    return CmaState(
+    try:
+        eigen = linalg.sym_eigen(new_cov)
+    except NonPositiveDefinite:
+        if np.isfinite(new_cov).all():
+            raise
+        raise NonFiniteState(
+            f"strategy state diverged at generation {t_next}"
+        ) from None
+    return _record(
+        CmaState,
         params=p,
         mean=new_mean,
         sigma=new_sigma,

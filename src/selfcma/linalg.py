@@ -96,7 +96,7 @@ def sym_eigen(c: np.ndarray) -> EigenDecomp:
 
 def inv_sqrt(decomp: EigenDecomp) -> np.ndarray:
     """C^{-1/2} = B diag(w^{-1/2}) B^T for a decomposed SPD matrix."""
-    return symmetrize(decomp.whitener @ decomp.basis.T)
+    return symmetrize(decomp.whitener.dot(decomp.basis.T))
 
 
 def mahalanobis(x: np.ndarray, mean: np.ndarray, inv_sqrt_c: np.ndarray):

@@ -38,7 +38,9 @@ def write_text_atomic(path, text: str) -> None:
 
 
 def format_float(x: float) -> str:
-    """Shortest decimal string that round-trips a double (17 significant digits)."""
+    """x as a double in `%.17g` form: 17 significant digits with trailing
+    zeros dropped, so that the text parses back to the same double. It is not
+    the shortest such text: 0.0012345678 prints as 0.0012345678000000001."""
     return format(float(x), ".17g")
 
 
@@ -57,7 +59,7 @@ class GenRecord:
     stop_reason: str = ""
 
     def to_row(self) -> str:
-        return ",".join([fmt(v) for fmt, v in zip(_FORMATS, _values(self))])
+        return _ROW_FORMAT % _values(self)
 
     @classmethod
     def from_row(cls, row: str) -> "GenRecord":
@@ -74,13 +76,21 @@ class GenRecord:
 
 
 # Dataclass field type (an annotation string, since the modules that read it
-# defer evaluation) -> (formatter to text, parser from text). The CSV cells
-# here and `harness`'s config.txt values and CLI flags all go through it.
-TYPE_CODECS = {"int": (str, int), "float": (format_float, float), "str": (str, str)}
+# defer evaluation) -> (formatter to text, parser from text, the `%`
+# conversion that prints the formatter's text). The CSV cells here and
+# `harness`'s config.txt values and CLI flags all go through it.
+TYPE_CODECS = {
+    "int": (str, int, "%s"),
+    "float": (format_float, float, "%.17g"),
+    "str": (str, str, "%s"),
+}
 _FIELDS = dataclasses.fields(GenRecord)
 CSV_COLUMNS = tuple(f.name for f in _FIELDS)
 CSV_HEADER = ",".join(CSV_COLUMNS)
-_FORMATS, _PARSERS = zip(*[TYPE_CODECS[f.type] for f in _FIELDS])
+_, _PARSERS, _CONVERSIONS = zip(*[TYPE_CODECS[f.type] for f in _FIELDS])
+# A whole row in one `%` format: `%s` is `str` and `%.17g` converts through
+# `float` as `format_float` does, so each cell has its formatter's text.
+_ROW_FORMAT = ",".join(_CONVERSIONS)
 # Numeric column -> the dtype of its array.
 _DTYPES = {
     name: np.int64 if parse is int else float

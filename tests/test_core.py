@@ -17,6 +17,9 @@ from selfcma.errors import (
     InvalidDimension,
     InvalidLambda,
     NonFiniteFitness,
+    NonFiniteState,
+    NonPositiveDefinite,
+    SelfCmaError,
 )
 
 # Frozen from reference_default_params / the closed-form expressions.
@@ -356,3 +359,59 @@ def test_generation_deterministic_per_stream():
         assert a.sigma == other.sigma
         np.testing.assert_array_equal(a.cov, other.cov)
     np.testing.assert_array_equal(a.last_pop.order, c.last_pop.order)
+
+
+def _non_finite_cases():
+    """(label, call, error class, exact message): every way an update or a
+    decomposition refuses a non-finite value."""
+    state = make_random_state(seed=95, n=3, lam=8)
+    pop = make_random_pop(state, seed=96)
+    cands, fit = pop.candidates, pop.fitness
+    nan_fit = fit.copy()
+    nan_fit[[2, 5]] = np.nan
+    inf_cand = cands.copy()
+    inf_cand[pop.order[1], 0] = np.inf
+    nan_n = np.array([np.nan, 0.0, 0.0])
+    inf_cov = state.cov.copy()
+    inf_cov[0, 1] = inf_cov[1, 0] = np.inf
+    diverged = "strategy state diverged at generation %d" % (state.gen + 1)
+
+    def update(st, x=cands, f=fit):
+        return lambda: core.update_distribution(st, x, f)
+
+    return [
+        ("nan fitness", update(state, f=nan_fit), NonFiniteFitness,
+         "objective returned NaN for candidate 2"),
+        ("inf selected candidate", update(state, x=inf_cand), NonFiniteState, diverged),
+        ("nan path_sigma", update(dataclasses.replace(state, path_sigma=nan_n)),
+         NonFiniteState, diverged),
+        ("nan path_c", update(dataclasses.replace(state, path_c=nan_n)),
+         NonFiniteState, diverged),
+        ("inf cov", update(dataclasses.replace(state, cov=inf_cov)), NonFiniteState,
+         diverged),
+        ("sym_eigen on nan", lambda: linalg.sym_eigen(np.full((3, 3), np.nan)),
+         NonPositiveDefinite, "non-finite entries"),
+    ]
+
+
+@pytest.mark.parametrize("label", [case[0] for case in _non_finite_cases()])
+def test_non_finite_errors_are_pinned(label):
+    # class (not a subclass) and exact message of every non-finite refusal
+    (call, cls, message), = [c[1:] for c in _non_finite_cases() if c[0] == label]
+    with pytest.raises(SelfCmaError) as info:
+        call()
+    assert type(info.value) is cls
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("scale", [1e4, 1e100])
+def test_step_size_overflow_is_a_non_finite_state(scale):
+    # a step so long that exp() of the step-size exponent passes the
+    # largest double: the new sigma is infinite, which the update refuses
+    p = core.default_params(3, 8)
+    s = core.initial_state(p, np.zeros(3), 1.0)
+    with pytest.raises(NonFiniteState, match="^strategy state diverged at generation 1$"):
+        core.update_distribution(s, np.full((8, 3), scale), np.arange(8.0))
+    # a shorter one still updates, with a finite step size
+    shorter = core.update_distribution(s, np.full((8, 3), 1e3), np.arange(8.0))
+    assert math.isfinite(shorter.sigma)

@@ -47,6 +47,65 @@ def test_format_float_roundtrips_exactly():
         assert float(format_float(x)) == x
 
 
+def _row_as_written_out(record):
+    """A CSV row cell by cell: `str` for the int and str columns and
+    `format(float(x), ".17g")` for the float ones."""
+    cells = [
+        format(float(v), ".17g") if isinstance(v, (float, np.floating)) else str(v)
+        for v in dataclasses.astuple(record)
+    ]
+    return ",".join(cells)
+
+
+def _cell_bits(record):
+    # float.hex tells -0.0 from 0.0, which == does not
+    return [
+        (type(v), v.hex() if isinstance(v, float) else v)
+        for v in dataclasses.astuple(record)
+    ]
+
+
+def test_row_codec_keeps_its_text_and_records():
+    rng = np.random.default_rng(12)
+    # random doubles over every exponent: random bit patterns, NaN dropped
+    doubles = rng.integers(0, 2**64, 6000, dtype=np.uint64).view(np.float64)
+    doubles = doubles[~np.isnan(doubles)].tolist()
+    doubles += rng.standard_normal(600).tolist()
+    doubles += [math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308]
+    doubles += [0.0012345678, 1e16, 1e17 + 2.0, 1.0 / 3.0]
+    records = [
+        GenRecord(i, 100 * i, *doubles[6 * i : 6 * i + 6], "tol_x" if i % 3 else "")
+        for i in range(len(doubles) // 6)
+    ]
+    # numpy scalars in the fields print as the numbers they hold
+    records.append(
+        GenRecord(
+            np.int64(7), np.int64(700), np.float64(0.1), np.float32(0.1),
+            np.float64(-0.0), np.float64(math.inf), np.float16(0.5), 0.25, "",
+        )
+    )
+    for record in records:
+        row = record.to_row()
+        assert row == _row_as_written_out(record)
+        back = GenRecord.from_row(row)
+        parsed = GenRecord(
+            *[
+                (int if i < 2 else str if i == 8 else float)(cell)
+                for i, cell in enumerate(row.split(","))
+            ]
+        )
+        assert _cell_bits(back) == _cell_bits(parsed)
+        assert back == parsed and hash(back) == hash(parsed)
+        assert back.to_row() == row
+    # a NaN cell prints like any float, and the reader refuses it
+    nan_row = GenRecord(1, 2, 0.5, math.nan, 0.5, 0.1, 0.2, 0.3, "").to_row()
+    assert nan_row == (
+        "1,2,0.5,nan,0.5,0.10000000000000001,0.20000000000000001,0.29999999999999999,"
+    )
+    with pytest.raises(ValueError, match="^median_f is nan at generation 1$"):
+        GenRecord.from_row(nan_row)
+
+
 def test_csv_roundtrip(tmp_path):
     log = RunLog([_rec(1, 5.0), _rec(2, 1.25), _rec(3, 0.015625, reason="target_hit")])
     path = tmp_path / "run_000.csv"
