@@ -76,7 +76,8 @@ def project_feasible(c_1: float, c_mu: float, c_c: float) -> tuple[float, float,
     c_mu = min(max(float(c_mu), 0.0), BOX_HIGH)
     c_c = min(max(float(c_c), 0.0), BOX_HIGH)
     # The shrink can round one ulp back above the cap, so repeat until it
-    # lands inside; two passes suffice in practice.
+    # lands inside; some inputs take three passes, e.g. (0.7503137812981281,
+    # 0.8323474016434982), whose first two shrinks sum to 0.9000000000000001.
     while c_1 + c_mu > BOX_HIGH:
         shrink = BOX_HIGH / (c_1 + c_mu)
         c_1 *= shrink
@@ -86,16 +87,16 @@ def project_feasible(c_1: float, c_mu: float, c_c: float) -> tuple[float, float,
 
 def descending_ranks(values) -> np.ndarray:
     """rank[..., i] = 1-based position of values[..., i] in a stable
-    descending sort along the last axis.
+    descending sort along the last axis, as float64 for averaging.
 
     The largest value gets rank 1; ties are broken by lower index first.
     """
     values = np.asarray(values, dtype=float)
     rows, lam = math.prod(values.shape[:-1]), values.shape[-1]
     order = (-values).argsort(axis=-1, kind="stable").reshape(rows, lam)
-    ranks = np.empty(values.shape, dtype=np.int64)
+    ranks = np.empty(values.shape)
     # a fresh array is C-contiguous, so its reshape is a view written through
-    ranks.reshape(rows, lam)[np.arange(rows)[:, None], order] = np.arange(1, lam + 1)
+    ranks.reshape(rows, lam)[np.arange(rows)[:, None], order] = np.arange(1.0, lam + 1)
     return ranks
 
 

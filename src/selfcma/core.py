@@ -140,26 +140,17 @@ class StrategyParams:
             raise ValueError("c_1 and c_mu must be >= 0")
         if not c_1 + c_mu <= 1.0:
             raise ValueError(f"c_1 + c_mu must be <= 1, got {c_1 + c_mu}")
-        return _copy_with(self, c_1=c_1, c_mu=c_mu, c_c=c_c)
+        return _record(StrategyParams, self.__dict__, c_1=c_1, c_mu=c_mu, c_c=c_c)
 
 
-def _record(cls, **fields):
-    """A frozen record of `cls` with every field given, set directly rather
-    than through the dataclass `__init__`, whose `object.__setattr__` per
-    field makes it about three times as slow; the caller has checked the
-    values. Each update builds three records this way."""
+def _record(cls, base=(), **fields):
+    """A frozen record of `cls` holding `base` (another record's `__dict__`)
+    updated with `fields`, set directly rather than through the dataclass
+    `__init__`, whose `object.__setattr__` per field makes it about three
+    times as slow; the caller has checked the values."""
     record = object.__new__(cls)
-    record.__dict__.update(fields)
+    record.__dict__.update(base, **fields)
     return record
-
-
-def _copy_with(record, **changes):
-    """Shallow copy of a frozen record with `changes` set, not passed back
-    through `__init__`: the copy's other fields were built and checked with
-    `record`, and the caller checks its `changes`."""
-    copied = object.__new__(type(record))
-    copied.__dict__.update(record.__dict__, **changes)
-    return copied
 
 
 def default_params(n: int, lam: int | None = None) -> StrategyParams:
@@ -234,7 +225,7 @@ class CmaState:
     def with_params(self, params: StrategyParams) -> "CmaState":
         """This state with `params` in place of its own, the rates the next
         update uses; `params` must share this state's n and lam."""
-        return _copy_with(self, params=params)
+        return _record(CmaState, self.__dict__, params=params)
 
 
 def initial_state(params: StrategyParams, mean, sigma: float) -> CmaState:

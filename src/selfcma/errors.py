@@ -25,8 +25,9 @@ class NonPositiveDefinite(SelfCmaError):
     """A covariance matrix lost positive definiteness.
 
     The sampling distribution is degenerate at this point. Nothing in the
-    library catches it or patches the matrix: it ends the run that raised
-    it, in both modes.
+    library patches the matrix: `core.update_distribution` re-raises it for
+    a finite covariance and raises `NonFiniteState` for one with a NaN or
+    infinite entry, and either ends the run that raised it, in both modes.
     """
 
 

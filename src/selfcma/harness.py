@@ -76,14 +76,14 @@ class ExperimentConfig:
         """The config as flat key=value lines (one field per line)."""
         lines = []
         for field in dataclasses.fields(self):
-            fmt = TYPE_CODECS[field.type][0]
-            lines.append(f"{field.name}={fmt(getattr(self, field.name))}")
+            conversion = TYPE_CODECS[field.type][1]
+            lines.append(f"{field.name}={conversion % getattr(self, field.name)}")
         return "\n".join(lines) + "\n"
 
 
 def field_parser(field: dataclasses.Field):
     """The parser of a config field's values."""
-    return TYPE_CODECS[field.type][1]
+    return TYPE_CODECS[field.type][0]
 
 
 def parse_config_text(text: str) -> dict:

@@ -79,8 +79,9 @@ def sym_eigen(c: np.ndarray) -> EigenDecomp:
     Raises:
         NonPositiveDefinite: if the matrix has non-finite entries, a
             non-positive leading eigenvalue, or an eigenvalue spread beyond
-            EIGEN_FLOOR. No caller catches it, so a degenerate covariance
-            ends the run.
+            EIGEN_FLOOR. `core.update_distribution` re-raises it for a
+            finite matrix and turns it into `NonFiniteState` for one with
+            a non-finite entry; either ends the run.
     """
     c = _square(c)
     if not np.isfinite(c).all():

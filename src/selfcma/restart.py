@@ -111,7 +111,7 @@ def check_stop(
     if len(tail) == tail.maxlen and max(tail) - min(tail) <= TOL_HIST_FUN:
         return StopReason.TOL_HIST_FUN
 
-    if state.sigma * math.sqrt(float(state.eigen.eigenvalues[-1])) <= TOL_X:
+    if state.sigma * float(state.eigen.sqrt_eigenvalues[-1]) <= TOL_X:
         return StopReason.TOL_X
 
     if state.eigen.condition() > MAX_COND:

@@ -41,7 +41,7 @@ def format_float(x: float) -> str:
     """x as a double in `%.17g` form: 17 significant digits with trailing
     zeros dropped, so that the text parses back to the same double. It is not
     the shortest such text: 0.0012345678 prints as 0.0012345678000000001."""
-    return format(float(x), ".17g")
+    return "%.17g" % x
 
 
 @dataclass(frozen=True)
@@ -76,21 +76,19 @@ class GenRecord:
 
 
 # Dataclass field type (an annotation string, since the modules that read it
-# defer evaluation) -> (formatter to text, parser from text, the `%`
-# conversion that prints the formatter's text). The CSV cells here and
-# `harness`'s config.txt values and CLI flags all go through it.
+# defer evaluation) -> (parser from text, `%` conversion to text). The CSV
+# cells here and `harness`'s config.txt values and CLI flags all go through
+# it, and `format_float` prints a lone float with the same `%.17g`.
 TYPE_CODECS = {
-    "int": (str, int, "%s"),
-    "float": (format_float, float, "%.17g"),
-    "str": (str, str, "%s"),
+    "int": (int, "%s"),
+    "float": (float, "%.17g"),
+    "str": (str, "%s"),
 }
 _FIELDS = dataclasses.fields(GenRecord)
 CSV_COLUMNS = tuple(f.name for f in _FIELDS)
 CSV_HEADER = ",".join(CSV_COLUMNS)
-_, _PARSERS, _CONVERSIONS = zip(*[TYPE_CODECS[f.type] for f in _FIELDS])
-# A whole row in one `%` format: `%s` is `str` and `%.17g` converts through
-# `float` as `format_float` does, so each cell has its formatter's text.
-_ROW_FORMAT = ",".join(_CONVERSIONS)
+_PARSERS, _CONVERSIONS = zip(*[TYPE_CODECS[f.type] for f in _FIELDS])
+_ROW_FORMAT = ",".join(_CONVERSIONS)  # a whole row in one `%` format
 # Numeric column -> the dtype of its array.
 _DTYPES = {
     name: np.int64 if parse is int else float

@@ -86,6 +86,8 @@ def test_penalty_rows_are_the_scalar_left_to_right_sum(t):
 
 
 @given(t=triples)
+# its first two shrinks round the sum to 0.9000000000000001: three passes
+@example(t=(0.7503137812981281, 0.8323474016434982, 0.5))
 @settings(max_examples=100, deadline=None)
 def test_projection_lands_in_feasible_set(t):
     proj = adapt.project_feasible(*t)
@@ -129,7 +131,7 @@ def test_descending_ranks_match_a_put_along_axis_scatter():
         for _ in range(20):
             values = rng.choice(levels, size=shape)
             order = np.argsort(-values, axis=-1, kind="stable")
-            want = np.empty(values.shape, dtype=np.int64)
+            want = np.empty(values.shape, dtype=np.float64)
             np.put_along_axis(want, order, np.arange(1, shape[-1] + 1), axis=-1)
             got = adapt.descending_ranks(values)
             assert got.dtype == want.dtype and got.shape == want.shape

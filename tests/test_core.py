@@ -362,8 +362,8 @@ def test_generation_deterministic_per_stream():
 
 
 def _non_finite_cases():
-    """(label, call, error class, exact message): every way an update or a
-    decomposition refuses a non-finite value."""
+    """(label, call, error class, exact message): every refusal of an update
+    or a decomposition, a non-finite value or a degenerate covariance."""
     state = make_random_state(seed=95, n=3, lam=8)
     pop = make_random_pop(state, seed=96)
     cands, fit = pop.candidates, pop.fitness
@@ -375,6 +375,13 @@ def _non_finite_cases():
     inf_cov = state.cov.copy()
     inf_cov[0, 1] = inf_cov[1, 0] = np.inf
     diverged = "strategy state diverged at generation %d" % (state.gen + 1)
+    # c_1 = 0 and c_mu = 1 keep only the rank-mu matrix, of one step along
+    # the first axis: finite but singular, so the update re-raises it as is
+    two = core.StrategyParams(2, 2)
+    flat = core.initial_state(two, np.zeros(2), 1.0).with_params(
+        two.with_cov_rates(0.0, 1.0, 0.5)
+    )
+    singular = "eigenvalue range [0.000000e+00, 1.000000e+00] is degenerate"
 
     def update(st, x=cands, f=fit):
         return lambda: core.update_distribution(st, x, f)
@@ -391,12 +398,14 @@ def _non_finite_cases():
          diverged),
         ("sym_eigen on nan", lambda: linalg.sym_eigen(np.full((3, 3), np.nan)),
          NonPositiveDefinite, "non-finite entries"),
+        ("degenerate cov", update(flat, x=[[1.0, 0.0], [2.0, 0.0]], f=[0.0, 1.0]),
+         NonPositiveDefinite, singular),
     ]
 
 
 @pytest.mark.parametrize("label", [case[0] for case in _non_finite_cases()])
 def test_non_finite_errors_are_pinned(label):
-    # class (not a subclass) and exact message of every non-finite refusal
+    # class (not a subclass) and exact message of every refusal
     (call, cls, message), = [c[1:] for c in _non_finite_cases() if c[0] == label]
     with pytest.raises(SelfCmaError) as info:
         call()

@@ -1,4 +1,5 @@
 """Experiment config parsing, output layout, determinism, and comparison."""
+import dataclasses
 import itertools
 import math
 
@@ -52,6 +53,17 @@ def test_config_text_roundtrip(tmp_path):
     assert parsed["mode"] == "self_adaptive"
     rebuilt = sc.ExperimentConfig(**parsed)
     assert rebuilt == cfg
+    # config.txt's bytes: one line per field, a float as format(.17g) and
+    # the rest as str, each parsing back to the same value
+    for target in [1e-10, 1e-8, 0.1, 1.0, -0.0, 5e-324, 1.7976931348623157e308]:
+        cfg = _cfg(tmp_path, target=target, mode="self_adaptive")
+        fields = [(f, getattr(cfg, f.name)) for f in dataclasses.fields(cfg)]
+        want = [
+            f"{f.name}={format(float(v), '.17g') if f.type == 'float' else str(v)}"
+            for f, v in fields
+        ]
+        assert cfg.to_text() == "\n".join(want) + "\n"
+        assert sc.ExperimentConfig(**harness.parse_config_text(cfg.to_text())) == cfg
 
 
 def test_parse_config_rejects_unknown_and_garbage():
